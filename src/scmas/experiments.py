@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import NoPureEquilibrium, TypeMismatch, TypeSetTooSmall
+from .errors import NoPureEquilibrium, ScmasError, TypeMismatch, TypeSetTooSmall
 from .game import MECHANISM, PERFECT, InformationStructure, ScmasGame
 from .generators import (
     GeneratorParams,
@@ -243,7 +243,7 @@ def _mc_instance(args) -> InstanceResult:
             approx_error=abs(approx.leader_payoff - scne.leader_payoff) / PAYOFF_SCALE,
             info_invariant=invariant,
         )
-    except Exception as exc:  # recorded per instance, the run continues
+    except ScmasError as exc:  # recorded per instance, the run continues
         return InstanceResult(
             instance_id=idx, seed=game_seed, topology=params.topology,
             nxl=params.n_leader_actions, nxf=params.n_follower_actions,

@@ -307,7 +307,8 @@ class PayoffEvaluator:
         return cmap[self.i_leader]
 
     def follower_actions(self, strat, idx: np.ndarray, x: int) -> np.ndarray:
-        """Realized follower action per selected assignment, at leader action x."""
+        """Realized follower action per selected assignment, at leader action x
+        (one action, or one per selected assignment)."""
         if strat.layer == L2:
             return np.full(len(idx), strat.action, dtype=int)
         instincts = self.i_follower[idx, x]

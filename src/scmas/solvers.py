@@ -7,6 +7,16 @@ within-layer choices. Ties are broken by layer preference L1 > L2 > L3, then
 lowest action index, then lexicographically smallest counterfactual map;
 candidates are visited in exactly that order and replaced only on a strict
 improvement, so the tie-break is structural rather than tolerance-based.
+
+Stage 1 searches leader action processes rather than leader strategies.
+Counterfactual maps that differ only on instinct values of zero mass realize
+the same process (Balke & Pearl's response types), so leader L3 maps range
+over the reached instinct values only, with unreached entries fixed at 0.
+That visits the lexicographically first map of each class in the order of a
+full enumeration, so the tie-break is unchanged. Stage-2 responses and
+payoffs are cached per realized action process; the leader's layer is part
+of that key only under mechanism information, the one structure in which the
+follower observes it.
 """
 
 from __future__ import annotations
@@ -42,10 +52,11 @@ from .game import (
 from .scm import DEFAULT_ENUM_CAP, sample_exogenous
 
 DEFAULT_ACTION_CAP = 8
-# Full map enumeration for leader L3 is used up to this many maps; above it
-# the map is assembled pointwise per instinct value, which coincides with the
-# exhaustive optimum whenever instincts are independent of the rest of the
-# model (the generator guarantees that class).
+# Leader L3 maps are enumerated over the reached instinct values while there
+# are at most this many of them. Above it one map is assembled pointwise per
+# instinct value. That fallback is unchecked: it is exact only when the
+# leader's instinct is independent of the rest of the model, which neither
+# the solver nor the generators guarantee.
 L3_ENUM_LIMIT = 4096
 
 DEFAULT_SAMPLE_CONSTANT = 0.5
@@ -131,35 +142,42 @@ def _follower_value(ev: PayoffEvaluator, xl: np.ndarray, w: np.ndarray, xf: np.n
     return float(np.dot(w, ev.RF[xl, xf]))
 
 
+def _action_values(ev: PayoffEvaluator, xl: np.ndarray, w: np.ndarray) -> list[float]:
+    """The follower's value of each deliberate (L2) action at a posterior.
+
+    Each value is one np.dot over a contiguous row, bit for bit the value
+    `_follower_value` gives the constant action array, so a constant L3 map
+    ties its L2 action exactly.
+    """
+    rows = np.ascontiguousarray(ev.RF[xl].T)
+    return [float(np.dot(w, rows[a])) for a in range(ev.k_f)]
+
+
+def _first_argmax(values: list[float]) -> int:
+    """Index of the first maximum: the lowest action wins ties."""
+    return max(range(len(values)), key=values.__getitem__)
+
+
 def _best_in_layer(ev: PayoffEvaluator, xl: np.ndarray, w: np.ndarray, layer: str):
     """Best within-layer follower strategy at a posterior; ties go to the
     lowest action index / lexicographically smallest map."""
+    if layer == L2:
+        vals = _action_values(ev, xl, w)
+        best_a = _first_argmax(vals)
+        return vals[best_a], LayeredStrategy(L2, action=best_a)
     instincts = ev.i_follower[np.arange(len(ev.joints)), xl]
     if layer == L1:
         strat = LayeredStrategy(L1)
         return _follower_value(ev, xl, w, instincts), strat
-    if layer == L2:
-        best_a, best_v = 0, -math.inf
-        for a in range(ev.k_f):
-            v = _follower_value(ev, xl, w, np.full(len(xl), a, dtype=int))
-            if v > best_v:
-                best_a, best_v = a, v
-        return best_v, LayeredStrategy(L2, action=best_a)
     # L3: the objective is additive across instinct values, so the optimal
-    # map is assembled pointwise; per-value ties at the lowest action give
-    # the lexicographically smallest optimal map.
-    cmap = []
-    for v in range(ev.k_f):
-        sel = instincts == v
-        best_a, best_v = 0, -math.inf
-        for a in range(ev.k_f):
-            val = float(np.dot(w[sel], ev.RF[xl[sel], a]))
-            if val > best_v:
-                best_a, best_v = a, val
-        cmap.append(best_a)
-    strat = LayeredStrategy(L3, counterfactual_map=tuple(cmap))
-    cmap_arr = np.asarray(cmap, dtype=int)
-    return _follower_value(ev, xl, w, cmap_arr[instincts]), strat
+    # map is read off one (instinct x action) table. argmax takes the lowest
+    # action on ties, which gives the lexicographically smallest optimal map;
+    # an instinct value of no weight maps to action 0.
+    table = np.zeros((ev.k_f, ev.k_f))
+    np.add.at(table, instincts, w[:, None] * ev.RF[xl])
+    cmap = table.argmax(axis=1)
+    strat = LayeredStrategy(L3, counterfactual_map=cmap)
+    return _follower_value(ev, xl, w, cmap[instincts]), strat
 
 
 def _best_follower_at(ev, xl, w, layers=LAYERS):
@@ -227,17 +245,33 @@ def _pointwise_leader_map(ev, policy_for_action) -> tuple[int, ...]:
 
 
 def _leader_candidates(ev, policy_for_action):
-    """Leader strategies in tie-break order: L1, L2 by action, then L3."""
+    """Leader strategies in tie-break order: L1, L2 by action, then L3.
+
+    L3 maps range over the reached instinct values (positive mass) in
+    product order, unreached entries 0.
+    """
     yield LayeredStrategy(L1)
     for a in range(ev.k_l):
         yield LayeredStrategy(L2, action=a)
-    if ev.k_l ** ev.k_l <= L3_ENUM_LIMIT:
-        for cmap in itertools.product(range(ev.k_l), repeat=ev.k_l):
-            yield LayeredStrategy(L3, counterfactual_map=cmap)
-    else:
+    mass = np.bincount(ev.i_leader, weights=ev.weights, minlength=ev.k_l)
+    reached = np.flatnonzero(mass > 0)
+    if ev.k_l ** len(reached) > L3_ENUM_LIMIT:
         yield LayeredStrategy(
             L3, counterfactual_map=_pointwise_leader_map(ev, policy_for_action)
         )
+        return
+    cmap = [0] * ev.k_l
+    for values in itertools.product(range(ev.k_l), repeat=len(reached)):
+        for v, x in zip(reached, values):
+            cmap[v] = x
+        yield LayeredStrategy(L3, counterfactual_map=cmap)
+
+
+def _process_key(ev: PayoffEvaluator, layer: str, xl: np.ndarray):
+    """Cache key of a leader action process: the realized-action array, plus
+    the layer under mechanism information, the only structure that reveals
+    it to the follower."""
+    return (layer if ev.game.info.kind == MECHANISM else None, xl.tobytes())
 
 
 def _solve_backward(ev: PayoffEvaluator, follower_layers, method: SolveMethod,
@@ -245,15 +279,14 @@ def _solve_backward(ev: PayoffEvaluator, follower_layers, method: SolveMethod,
                     leader_layers=LAYERS) -> EquilibriumProfile:
     """Backward induction on an evaluator (exact or empirical measure).
 
-    Candidates inducing the same realized-action process (layer plus
-    per-assignment action array) have identical stage-2 responses and
-    payoffs, so both are cached on that key.
+    Candidates inducing the same action process (`_process_key`) have
+    identical stage-2 responses and payoffs, so both are cached on that key.
     """
     cache: dict = {}
 
     def evaluated(cand: LayeredStrategy):
         xl = ev.leader_actions(cand)
-        key = (cand.layer, xl.tobytes())
+        key = _process_key(ev, cand.layer, xl)
         hit = cache.get(key)
         if hit is None:
             pol = _stage2(ev, cand.layer, xl, follower_layers)
@@ -349,10 +382,7 @@ def _satisficing_policy(ev: PayoffEvaluator, eps_sat: float) -> FollowerPolicy:
     responses = {}
     for obs in observations(ev.game):
         xl, w = _posterior(ev, obs, None, None)
-        vals = [
-            _follower_value(ev, xl, w, np.full(len(xl), a, dtype=int))
-            for a in range(ev.k_f)
-        ]
+        vals = _action_values(ev, xl, w)
         top = max(vals)
         accept = [a for a, v in enumerate(vals) if v >= top - eps_sat]
         weights = [0.0] * ev.k_f
@@ -395,7 +425,7 @@ def _best_leader_vs_policy(ev: PayoffEvaluator, pol: FollowerPolicy) -> LayeredS
     cache: dict = {}
     for cand in _leader_candidates(ev, lambda x: pol):
         xl = ev.leader_actions(cand)
-        key = (cand.layer, xl.tobytes())
+        key = _process_key(ev, cand.layer, xl)
         el = cache.get(key)
         if el is None:
             el = cache[key] = ev.value_from_actions(xl, cand.layer, pol)[0]
@@ -424,11 +454,7 @@ def trembling_hand_check(game: ScmasGame, profile: EquilibriumProfile,
         responses = {}
         for obs in observations(game):
             xl, w = _posterior(ev, obs, profile.leader.layer, leader_xl)
-            best_a, best_v = 0, -math.inf
-            for a in range(ev.k_f):
-                v = _follower_value(ev, xl, w, np.full(len(xl), a, dtype=int))
-                if v > best_v:
-                    best_a, best_v = a, v
+            best_a = _first_argmax(_action_values(ev, xl, w))
             weights = [eps] * ev.k_f
             weights[best_a] += extra
             responses[obs] = MixedResponse(tuple(weights))
@@ -458,17 +484,9 @@ def _belief_posterior(ev: PayoffEvaluator, obs: Observation):
 
 def _response_value(ev, xl, w, strat) -> float:
     if isinstance(strat, MixedResponse):
-        return sum(
-            p * _follower_value(ev, xl, w, np.full(len(xl), a, dtype=int))
-            for a, p in enumerate(strat.weights) if p
-        )
-    instincts = ev.i_follower[np.arange(len(ev.joints)), xl]
-    if strat.layer == L1:
-        xf = instincts
-    elif strat.layer == L2:
-        xf = np.full(len(xl), strat.action, dtype=int)
-    else:
-        xf = np.asarray(strat.counterfactual_map, dtype=int)[instincts]
+        vals = _action_values(ev, xl, w)
+        return sum(p * vals[a] for a, p in enumerate(strat.weights) if p)
+    xf = ev.follower_actions(strat, np.arange(len(xl)), xl)
     return _follower_value(ev, xl, w, xf)
 
 
@@ -553,11 +571,7 @@ def forward_induction_filter(games: list[ScmasGame],
     def rationalized(t: int, obs: Observation, strat) -> bool:
         xl, w = _belief_posterior(evs[t], obs)
         val = _response_value(evs[t], xl, w, strat)
-        best = max(
-            _response_value(evs[t], xl, w, LayeredStrategy(L2, action=a))
-            for a in range(k_f)
-        )
-        return val >= best - 1e-12
+        return val >= max(_action_values(evs[t], xl, w)) - 1e-12
 
     kept = []
     for prof in profiles:

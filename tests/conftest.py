@@ -52,8 +52,12 @@ def make_chain_scm():
 
 
 def make_simple_game(rl, rf, leader_masses, follower_masses, info=None,
-                     bins=10):
-    """Two-action-node game with ten-bin instinct variables per agent."""
+                     bins=10, correlated=False):
+    """Two-action-node game with ten-bin instinct variables per agent.
+
+    With correlated=True both instincts read the leader's bin variable, so
+    each is monotone in the other.
+    """
     k_l, k_f = len(rl), len(rl[0])
 
     def mapping(masses):
@@ -74,7 +78,8 @@ def make_simple_game(rl, rf, leader_masses, follower_masses, info=None,
                     EndogenousVar("XF", contiguous(k_f))),
         equations=(
             StructuralEquation("XL", ("UL",), table_from_fn([bins], lambda u: lmap[u])),
-            StructuralEquation("XF", ("UF",), table_from_fn([bins], lambda u: fmap[u])),
+            StructuralEquation("XF", ("UL" if correlated else "UF",),
+                               table_from_fn([bins], lambda u: fmap[u])),
         ),
         action_nodes=("XL", "XF"),
     )

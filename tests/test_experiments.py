@@ -124,8 +124,9 @@ def test_csv_layout_and_digits():
     assert len(rows) == 4
     for row in rows[1:]:
         for cell in row:
-            if re.fullmatch(r"-?\d+\.\d+(e-?\d+)?", cell):
-                digits = re.sub(r"[-.e]", "", cell).lstrip("0")
+            number = re.fullmatch(r"-?(\d+)\.(\d+)(e[-+]?\d+)?", cell)
+            if number:  # significant digits are the mantissa's, not the exponent's
+                digits = (number[1] + number[2]).lstrip("0")
                 assert len(digits) <= 9
 
 

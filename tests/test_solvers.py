@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from scmas import solvers
 from scmas.errors import ActionSpaceTooLarge, TypeMismatch, TypeSetTooSmall
 from scmas.game import (
     FollowerPolicy,
@@ -11,6 +12,7 @@ from scmas.game import (
     LayeredStrategy,
     MixedResponse,
     Observation,
+    PayoffEvaluator,
     expected_payoffs,
 )
 from scmas.generators import (
@@ -20,17 +22,20 @@ from scmas.generators import (
     synthetic,
 )
 from scmas.solvers import (
+    EquilibriumProfile,
     approx_scne,
     classical_stackelberg,
     exact_scne,
     follower_best_response,
     forward_induction_filter,
     observations,
+    profile_to_dict,
     satisficing_scne,
     trembling_hand_check,
 )
 from conftest import (
     all_follower_strategies,
+    all_leader_strategies,
     assert_no_profitable_deviation,
     make_simple_game,
     oracle_backward_induction,
@@ -398,3 +403,158 @@ def test_no_profitable_deviation_on_generated_games():
                                        seed=900 + seed))
         prof = exact_scne(game)
         assert_no_profitable_deviation(game, prof, tol=1e-9)
+
+
+# --- leader search over reached instincts, follower instinct tables ------------
+
+
+def _reference_backward(game, leader_layers=("L1", "L2", "L3")):
+    """Backward induction the unpruned way: every one of the k_L^k_L leader
+    maps, strict-improvement replacement, stage-2 cache keyed on the layer."""
+    ev = PayoffEvaluator(game)
+    cache, best = {}, None
+    for cand in all_leader_strategies(ev.k_l):
+        if cand.layer not in leader_layers:
+            continue
+        xl = ev.leader_actions(cand)
+        key = (cand.layer, xl.tobytes())
+        if key not in cache:
+            pol = solvers._stage2(ev, cand.layer, xl)
+            cache[key] = (*ev.value_from_actions(xl, cand.layer, pol), pol)
+        el, ef, pol = cache[key]
+        if best is None or el > best[0]:
+            best = (el, ef, cand, pol)
+    el, ef, cand, pol = best
+    return profile_to_dict(EquilibriumProfile(
+        cand, pol, el, ef, el + ef, solvers.SolveMethod("exact")))
+
+
+def _partially_reached_games(k_l):
+    """Games whose leader instinct reaches a strict subset of >= 2 values."""
+    rng = np.random.default_rng(k_l)
+    for _ in range(4):
+        n_reached = int(rng.integers(2, min(k_l - 1, 3) + 1))
+        reached = np.sort(rng.choice(k_l, size=n_reached, replace=False))
+        counts = np.zeros(k_l, dtype=int)
+        counts[reached] = 1 + rng.multinomial(10 - n_reached, np.full(n_reached, 1 / n_reached))
+        k_f = int(rng.integers(2, 4))
+        f_counts = rng.multinomial(10, np.full(k_f, 1 / k_f))
+        rl = rng.integers(0, 4, size=(k_l, k_f)).tolist()
+        rf = rng.integers(0, 4, size=(k_l, k_f)).tolist()
+        yield tuple(reached), rl, rf, tuple(counts / 10), tuple(f_counts / 10)
+
+
+@pytest.mark.parametrize("k_l", [3, 4, 5])
+@pytest.mark.parametrize("info", [
+    InformationStructure("perfect"),
+    InformationStructure("mechanism"),
+    InformationStructure("imperfect", 0.5),
+])
+@pytest.mark.parametrize("correlated", [False, True])
+def test_pruned_leader_search_matches_full_enumeration(k_l, info, correlated):
+    for reached, rl, rf, lm, fm in _partially_reached_games(k_l):
+        game = make_simple_game(rl, rf, lm, fm, info=info, correlated=correlated)
+        assert profile_to_dict(exact_scne(game)) == _reference_backward(game)
+        # Restricted to L3, the winner is a map, so this checks that the
+        # pruned search picks the lexicographically first optimal one.
+        ev = PayoffEvaluator(game)
+        l3 = solvers._solve_backward(
+            ev, ("L1", "L2", "L3"), solvers.SolveMethod("exact"), leader_layers=("L3",))
+        assert profile_to_dict(l3) == _reference_backward(game, ("L3",))
+        assert all(l3.leader.counterfactual_map[v] == 0
+                   for v in range(k_l) if v not in reached)
+
+
+def test_leader_search_keeps_the_layer_under_mechanism_information():
+    # The follower answers the L3 signal alone with the action the leader
+    # wants. Every L3 map shares its action process with L1 or an L2 action
+    # here except (1, 0), so a cache that forgot the layer would pick (1, 0)
+    # instead of the first L3 map.
+    game = make_simple_game([[0, 10], [0, 10]], [[0, 0], [0, 0]], (0.5, 0.5),
+                            (0.5, 0.5), info=InformationStructure("mechanism"))
+    pol = FollowerPolicy({
+        obs: LayeredStrategy("L2", action=int(obs.layer_signal == "L3"))
+        for obs in observations(game)
+    })
+    best = solvers._best_leader_vs_policy(PayoffEvaluator(game), pol)
+    assert best == LayeredStrategy("L3", counterfactual_map=(0, 0))
+
+
+@pytest.mark.parametrize("k_l", [3, 4, 5])
+def test_leader_candidates_count_reached_maps(k_l, monkeypatch):
+    def no_fallback(x):
+        raise AssertionError("pointwise fallback ran under the enumeration limit")
+
+    for reached, rl, rf, lm, fm in _partially_reached_games(k_l):
+        ev = PayoffEvaluator(make_simple_game(rl, rf, lm, fm))
+        cands = list(solvers._leader_candidates(ev, no_fallback))
+        assert len(cands) == 1 + k_l + k_l ** len(reached)
+        maps = [c.counterfactual_map for c in cands if c.layer == "L3"]
+        assert maps == sorted(maps)
+
+    # One reached map more than the limit allows: the pointwise map only.
+    monkeypatch.setattr(solvers, "L3_ENUM_LIMIT", k_l ** len(reached) - 1)
+    n = len(ev.joints)
+    policy = lambda x: solvers._stage2(ev, "L2", np.full(n, x, dtype=int))
+    cands = list(solvers._leader_candidates(ev, policy))
+    assert len(cands) == 1 + k_l + 1
+    assert cands[-1].layer == "L3"
+
+
+def _l2_by_loop(ev, xl, w):
+    """The follower's L2 choice as a per-action np.dot loop."""
+    best_a, best_v = 0, -math.inf
+    for a in range(ev.k_f):
+        v = float(np.dot(w, ev.RF[xl, np.full(len(xl), a, dtype=int)]))
+        if v > best_v:
+            best_a, best_v = a, v
+    return best_v, best_a
+
+
+def _l3_map_by_loop(ev, xl, w):
+    """The follower's L3 map as a masked np.dot per (instinct, action)."""
+    instincts = ev.i_follower[np.arange(len(ev.joints)), xl]
+    cmap = []
+    for v in range(ev.k_f):
+        sel = instincts == v
+        best_a, best_v = 0, -math.inf
+        for a in range(ev.k_f):
+            val = float(np.dot(w[sel], ev.RF[xl[sel], a]))
+            if val > best_v:
+                best_a, best_v = a, val
+        cmap.append(best_a)
+    return tuple(cmap)
+
+
+@pytest.mark.parametrize("k_f", [2, 3, 4, 5])
+@pytest.mark.parametrize("weights", ["dirichlet", "integer"])
+def test_vectorized_follower_choice_matches_loop(k_f, weights):
+    rng = np.random.default_rng(10 * k_f + (weights == "integer"))
+    k_l = 3
+    for _ in range(20):
+        rf = rng.integers(-3, 4, size=(k_l, k_f))
+        rf[:, -1] = rf[:, 0]  # an exact tie between two actions everywhere
+        f_counts = rng.multinomial(10, np.full(k_f, 1 / k_f))
+        unreached = int(rng.integers(k_f))
+        f_counts[unreached] = 0
+        f_counts[(unreached + 1) % k_f] += 10 - f_counts.sum()
+        game = make_simple_game(np.zeros((k_l, k_f)).tolist(), rf.tolist(),
+                                (0.4, 0.3, 0.3), tuple(f_counts / 10))
+        ev = PayoffEvaluator(game)
+        n = len(ev.joints)
+        xl = rng.integers(k_l, size=n)
+        if weights == "integer":  # sums are exact, so every tie is exact
+            w = rng.integers(0, 3, size=n).astype(float)
+        else:
+            w = rng.dirichlet(np.ones(n))
+        instincts = ev.i_follower[np.arange(n), xl]
+        w[instincts == rng.integers(k_f)] = 0.0  # a reached value of no weight
+
+        v2, a2 = _l2_by_loop(ev, xl, w)
+        assert solvers._best_in_layer(ev, xl, w, "L2") == (v2, LayeredStrategy("L2", action=a2))
+
+        cmap = _l3_map_by_loop(ev, xl, w)
+        v3, strat = solvers._best_in_layer(ev, xl, w, "L3")
+        assert strat.counterfactual_map == cmap
+        assert all(cmap[v] == 0 for v in range(k_f) if not w[instincts == v].any())
+        assert v3 == float(np.dot(w, ev.RF[xl, np.asarray(cmap)[instincts]]))
