@@ -2,7 +2,8 @@
 
 Every subcommand is deterministic given its flags; seeds are always explicit
 flags. Exit codes: 0 success, 1 data/IO failure, 2 invalid flags. The
-environment variable SCMAS_EXACT_CAP overrides the exact-solver action cap.
+environment variable SCMAS_EXACT_CAP overrides the action cap of the exact,
+classical and satisficing solvers.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
 
 from . import experiments, generators, qbf, solvers
 from .errors import ParseError, ScmasError, UnsupportedAlternation
@@ -97,14 +97,9 @@ def cmd_qbf(args) -> int:
     if args.verify:
         with open(args.verify, "r", encoding="utf-8") as fh:
             formula = qbf.parse_qdimacs(fh.read())
-        truth = qbf.brute_force_qbf(formula)
-        game = qbf.reduce_to_scmas(formula)
-        cap = max(len(game.leader_support), len(game.follower_support))
-        profile = solvers.exact_scne(game, action_cap=cap)
-        game_truth = profile.leader_payoff == 1.0
-        verdict = "EQUIVALENT" if truth == game_truth else "MISMATCH"
-        print(f"{verdict} formula={truth} game_leader_payoff_1={game_truth}")
-        return 0 if verdict == "EQUIVALENT" else 1
+        ok = qbf.verify_reduction(formula)
+        print("EQUIVALENT" if ok else "MISMATCH")
+        return 0 if ok else 1
     if args.exhaustive != 1:
         raise ScmasError("only the one-variable-per-block family is enumerable")
     formulas = qbf.exhaustive_family()

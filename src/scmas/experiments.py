@@ -21,8 +21,14 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import NoPureEquilibrium, ScmasError, TypeMismatch, TypeSetTooSmall
-from .game import MECHANISM, PERFECT, InformationStructure, ScmasGame
+from .errors import (
+    ActionSpaceTooLarge,
+    NoPureEquilibrium,
+    ScmasError,
+    TypeMismatch,
+    TypeSetTooSmall,
+)
+from .game import MECHANISM, PERFECT, InformationStructure, PayoffEvaluator, ScmasGame
 from .generators import (
     GeneratorParams,
     PAYOFF_DISTS,
@@ -139,23 +145,15 @@ def _timing_table(rows) -> list[dict]:
 
 def equilibrium_actions(game: ScmasGame, profile: EquilibriumProfile) -> dict:
     """On-path outcome summary: the leader strategy plus the follower's
-    response at every action the leader strategy actually reaches."""
-    from .game import PayoffEvaluator, Observation, IMPERFECT
-
+    response at every observation each reached action can produce."""
     ev = PayoffEvaluator(game)
     xl = ev.leader_actions(profile.leader)
     reached = sorted({int(x) for x, w in zip(xl, ev.weights) if w > 0})
-    responses = {}
-    for x in reached:
-        if game.info.kind == IMPERFECT:
-            sigs = [s for s in range(ev.k_l) if ev.signal[x, s] > 0]
-        else:
-            sigs = [x]
-        lay = profile.leader.layer if game.info.kind == MECHANISM else None
-        responses[x] = [
-            strategy_to_dict(profile.follower.response(Observation(s, lay)))
-            for s in sigs
-        ]
+    responses = {
+        x: [strategy_to_dict(profile.follower.response(obs))
+            for obs, _ in ev.channel(x, profile.leader.layer)]
+        for x in reached
+    }
     return {"leader": strategy_to_dict(profile.leader), "responses": responses}
 
 
@@ -323,32 +321,16 @@ def run_synthetic_suite(seeds, *, jobs: int = 1,
     return ExperimentReport(config, rows, compute_aggregate(rows))
 
 
-def _realized_outcome(game: ScmasGame, profile: EquilibriumProfile, u: dict):
-    """Play the stored profile at one exogenous draw; returns (x_l, x_f)."""
-    from .game import IMPERFECT, L1, L2, Observation, PayoffEvaluator
-
-    ev = PayoffEvaluator(game)
-    lead = profile.leader
-    if lead.layer == L2:
-        x_l = lead.action
-    else:
-        from .scm import natural_instinct
-
-        instinct = natural_instinct(game.scm, u, game.leader_action)
-        x_l = instinct if lead.layer == L1 else lead.counterfactual_map[instinct]
-    lay = lead.layer if game.info.kind == MECHANISM else None
-    strat = profile.follower.response(Observation(x_l, lay))
-    from .game import MixedResponse
-    from .scm import evaluate
-
-    if isinstance(strat, MixedResponse):
-        x_f = int(np.argmax(strat.weights))  # deterministic representative
-    elif strat.layer == L2:
-        x_f = strat.action
-    else:
-        nat = evaluate(game.scm, u, {game.leader_action: x_l})[game.follower_action]
-        x_f = nat if strat.layer == L1 else strat.counterfactual_map[nat]
-    return x_l, x_f
+def _realized_play(ev: PayoffEvaluator, profile: EquilibriumProfile) -> list:
+    """The (x_l, x_f) pair per joint of ev when the profile is played under
+    perfect or mechanism information, where each action is observed as is."""
+    xl = ev.leader_actions(profile.leader)
+    xf = np.empty_like(xl)
+    for x in range(ev.k_l):
+        idx = np.flatnonzero(xl == x)
+        [(obs, _)] = ev.channel(x, profile.leader.layer)
+        xf[idx] = ev.follower_actions(profile.follower.response(obs), idx, x)
+    return list(zip(xl.tolist(), xf.tolist()))
 
 
 def run_procurement(n_contracts: int, seed: int = 0) -> ExperimentReport:
@@ -366,11 +348,9 @@ def run_procurement(n_contracts: int, seed: int = 0) -> ExperimentReport:
         rl, rf = game.reward_arrays()
         rl_arrs[ctype] = (rl, rf)
         draws = sample_exogenous(game.scm, seed + t_idx, per_type)
-        contracts = []
-        for i, u in enumerate(draws):
-            xs = _realized_outcome(game, scne, u)
-            xc = _realized_outcome(game, classical, u)
-            contracts.append((xs, xc))
+        ev = PayoffEvaluator(game, joints=draws, weights=np.full(per_type, 1.0 / per_type))
+        contracts = list(zip(_realized_play(ev, scne), _realized_play(ev, classical)))
+        for i, (xs, xc) in enumerate(contracts):
             idx = t_idx * per_type + i
             rows.append(InstanceResult(
                 instance_id=idx,
@@ -443,8 +423,6 @@ def bench_scaling(sizes, epsilon: float, seed: int, *,
             )
             exact = None
             t_exact = None
-            from .errors import ActionSpaceTooLarge
-
             try:
                 t0 = time.perf_counter()
                 exact = exact_scne(game)

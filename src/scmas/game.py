@@ -22,6 +22,7 @@ from .scm import (
     enumerate_exogenous,
     scm_from_dict,
     scm_to_dict,
+    unfreeze,
 )
 
 L1 = "L1"
@@ -317,6 +318,17 @@ class PayoffEvaluator:
         cmap = np.asarray(strat.counterfactual_map, dtype=int)
         return cmap[instincts]
 
+    def channel(self, x: int, leader_layer: str) -> list:
+        """The observations the leader's realized action x produces, each
+        with its probability: every signal of positive mass under imperfect
+        information, else x itself, with the layer under mechanism
+        information."""
+        kind = self.game.info.kind
+        if kind == IMPERFECT:
+            return [(Observation(s, None), p)
+                    for s, p in enumerate(self.signal[x]) if p > 0.0]
+        return [(Observation(x, leader_layer if kind == MECHANISM else None), 1.0)]
+
     def _group_value(self, idx: np.ndarray, x: int, strat, scale: float = 1.0):
         w = self.weights[idx] * scale
         if isinstance(strat, MixedResponse):
@@ -334,25 +346,13 @@ class PayoffEvaluator:
     def value_from_actions(self, xl: np.ndarray, leader_layer: str,
                            policy: FollowerPolicy):
         """Expected payoffs for a precomputed realized-action array."""
-        kind = self.game.info.kind
         el = ef = 0.0
         for x in range(self.k_l):
             idx = np.flatnonzero(xl == x)
             if idx.size == 0:
                 continue
-            if kind == IMPERFECT:
-                for s in range(self.k_l):
-                    p = self.signal[x, s]
-                    if p == 0.0:
-                        continue
-                    strat = policy.response(Observation(s, None))
-                    dl, df = self._group_value(idx, x, strat, scale=p)
-                    el += dl
-                    ef += df
-            else:
-                lay = leader_layer if kind == MECHANISM else None
-                strat = policy.response(Observation(x, lay))
-                dl, df = self._group_value(idx, x, strat)
+            for obs, p in self.channel(x, leader_layer):
+                dl, df = self._group_value(idx, x, policy.response(obs), scale=p)
                 el += dl
                 ef += df
         return el, ef
@@ -374,11 +374,6 @@ def expected_payoffs(game: ScmasGame, leader: LayeredStrategy,
 
 
 def game_to_dict(game: ScmasGame) -> dict:
-    def unfreeze(node):
-        if isinstance(node, tuple):
-            return [unfreeze(x) for x in node]
-        return node
-
     return {
         "scm": scm_to_dict(game.scm),
         "leader_action": game.leader_action,

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ParseError, TooLarge, UnsupportedAlternation
 from .game import InformationStructure, PERFECT, ScmasGame
 from .scm import EndogenousVar, ExogenousVar, Scm, StructuralEquation, contiguous, table_from_fn
+from .solvers import exact_scne
 
 MAX_BLOCK_VARS = 4
 MAX_BRUTE_VARS = 8
@@ -190,8 +191,6 @@ def reduce_to_scmas(f: Qbf) -> ScmasGame:
 
 def verify_reduction(f: Qbf) -> bool:
     """Check truth(formula) == (leader secures payoff 1 in the encoded game)."""
-    from .solvers import exact_scne
-
     truth = brute_force_qbf(f)
     game = reduce_to_scmas(f)
     cap = max(len(game.leader_support), len(game.follower_support))

@@ -248,9 +248,10 @@ class Scm:
 def _evaluation_plan(scm: Scm, intervened: tuple[str, ...]):
     """Resolve the node order used to solve the model under interventions.
 
-    Returns (mode, equations-in-order) where mode is "topo" for an acyclic
-    residual graph and "forward" for the declared-order single pass allowed
-    when every surviving cycle goes through a non-intervened action node.
+    Returns the equations in solving order: topological for an acyclic
+    residual graph, else the declared order of the single forward pass
+    allowed when every surviving cycle goes through a non-intervened action
+    node.
     """
     remaining = [n for n in scm.endogenous_ids if n not in intervened]
 
@@ -259,7 +260,7 @@ def _evaluation_plan(scm: Scm, intervened: tuple[str, ...]):
 
     order = _topo_order(remaining, live_parents)
     if order is not None:
-        return "topo", [scm.equation(n) for n in order]
+        return [scm.equation(n) for n in order]
 
     non_action = [n for n in remaining if n not in scm.action_nodes]
     if _topo_order(non_action, lambda n: tuple(
@@ -268,7 +269,7 @@ def _evaluation_plan(scm: Scm, intervened: tuple[str, ...]):
             "cycle without an action node survives the interventions"
         )
     order = [n for n in scm.evaluation_order() if n in remaining]
-    return "forward", [scm.equation(n) for n in order]
+    return [scm.equation(n) for n in order]
 
 
 def compiled_evaluate(scm: Scm, intervention_vars: tuple[str, ...]):
@@ -277,27 +278,20 @@ def compiled_evaluate(scm: Scm, intervention_vars: tuple[str, ...]):
     Returns run(u, interventions) -> values dict. The interventions must
     assign exactly intervention_vars.
     """
-    mode, plan = _evaluation_plan(scm, tuple(intervention_vars))
-    if mode == "topo":
-        def run(u, interventions):
-            values = dict(u)
-            values.update(interventions)
-            for eq in plan:
-                node = eq.table
-                for p in eq.parents:
-                    node = node[values[p]]
-                values[eq.target] = node
-            return values
-    else:
-        def run(u, interventions):
-            values = dict(u)
-            values.update(interventions)
-            for eq in plan:
-                node = eq.table
-                for p in eq.parents:
-                    node = node[values.get(p, 0)]
-                values[eq.target] = node
-            return values
+    # In topological order every parent is assigned before it is read, so the
+    # default 0 is reached only by the forward pass over a surviving cycle.
+    plan = _evaluation_plan(scm, tuple(intervention_vars))
+
+    def run(u, interventions):
+        values = dict(u)
+        values.update(interventions)
+        for eq in plan:
+            node = eq.table
+            for p in eq.parents:
+                node = node[values.get(p, 0)]
+            values[eq.target] = node
+        return values
+
     return run
 
 
@@ -370,14 +364,15 @@ def sample_exogenous(scm: Scm, seed: int, n: int) -> list[dict]:
     return [{k: int(cols[k][i]) for k in scm.exogenous_ids} for i in range(n)]
 
 
+def unfreeze(node):
+    """Nested tuples as nested lists, for JSON."""
+    if isinstance(node, tuple):
+        return [unfreeze(x) for x in node]
+    return node
+
+
 def scm_to_dict(scm: Scm) -> dict:
     """JSON-ready fragment describing the SCM."""
-
-    def unfreeze(node):
-        if isinstance(node, tuple):
-            return [unfreeze(x) for x in node]
-        return node
-
     return {
         "exogenous": [
             {"id": v.id, "support": list(v.support), "prior": list(v.prior)}

@@ -16,7 +16,12 @@ That visits the lexicographically first map of each class in the order of a
 full enumeration, so the tie-break is unchanged. Stage-2 responses and
 payoffs are cached per realized action process; the leader's layer is part
 of that key only under mechanism information, the one structure in which the
-follower observes it.
+follower observes it. What the follower observes of a realized leader action
+is `PayoffEvaluator.channel`, the one place that reads the information
+structure when payoffs are summed.
+
+The exhaustive solvers (exact, classical, satisficing) share one action-space
+cap: the `action_cap` argument, else SCMAS_EXACT_CAP, else 8.
 """
 
 from __future__ import annotations
@@ -63,10 +68,19 @@ DEFAULT_SAMPLE_CONSTANT = 0.5
 DEFAULT_TREMBLE_GRID = (1e-2, 1e-3, 1e-4)
 
 
-def _action_cap(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    return int(os.environ.get("SCMAS_EXACT_CAP", DEFAULT_ACTION_CAP))
+def _capped_evaluator(game: ScmasGame, enum_cap: int,
+                      action_cap: int | None) -> PayoffEvaluator:
+    """The exact evaluator of a game whose action spaces fit the cap of the
+    exhaustive solvers: action_cap if given, else SCMAS_EXACT_CAP, else 8."""
+    cap = action_cap
+    if cap is None:
+        cap = int(os.environ.get("SCMAS_EXACT_CAP", DEFAULT_ACTION_CAP))
+    if max(len(game.leader_support), len(game.follower_support)) > cap:
+        raise ActionSpaceTooLarge(
+            f"action spaces exceed the exact-solver cap {cap} "
+            "(set SCMAS_EXACT_CAP or use the sampling solver)"
+        )
+    return PayoffEvaluator(game, enum_cap=enum_cap)
 
 
 @dataclass(frozen=True)
@@ -208,22 +222,12 @@ def follower_best_response(game: ScmasGame, observation: Observation,
     return strat
 
 
-def _conditional_leader_value(ev, idx, x, policy, layer_for_obs):
+def _conditional_leader_value(ev, idx, x, policy, leader_layer):
     """Leader reward mass from the joints in idx when the leader plays x."""
-    if idx.size == 0:
-        return 0.0
-    if ev.game.info.kind == IMPERFECT:
-        total = 0.0
-        for s in range(ev.k_l):
-            p = ev.signal[x, s]
-            if p == 0.0:
-                continue
-            strat = policy.response(Observation(s, None))
-            total += ev._group_value(idx, x, strat, scale=p)[0]
-        return total
-    lay = layer_for_obs if ev.game.info.kind == MECHANISM else None
-    strat = policy.response(Observation(x, lay))
-    return ev._group_value(idx, x, strat)[0]
+    total = 0.0
+    for obs, p in ev.channel(x, leader_layer):
+        total += ev._group_value(idx, x, policy.response(obs), scale=p)[0]
+    return total
 
 
 def _pointwise_leader_map(ev, policy_for_action) -> tuple[int, ...]:
@@ -321,13 +325,7 @@ def _solve_backward(ev: PayoffEvaluator, follower_layers, method: SolveMethod,
 def exact_scne(game: ScmasGame, *, enum_cap: int = DEFAULT_ENUM_CAP,
                action_cap: int | None = None) -> EquilibriumProfile:
     """Exact equilibrium by exhaustive backward induction."""
-    cap = _action_cap(action_cap)
-    if max(len(game.leader_support), len(game.follower_support)) > cap:
-        raise ActionSpaceTooLarge(
-            f"action spaces exceed the exact-solver cap {cap} "
-            "(set SCMAS_EXACT_CAP or use the sampling solver)"
-        )
-    ev = PayoffEvaluator(game, enum_cap=enum_cap)
+    ev = _capped_evaluator(game, enum_cap, action_cap)
     return _solve_backward(ev, LAYERS, SolveMethod("exact"))
 
 
@@ -336,12 +334,7 @@ def classical_stackelberg(game: ScmasGame, *, enum_cap: int = DEFAULT_ENUM_CAP,
     """Baseline: both agents restricted to deliberate (L2) play; the follower
     keys only on the action signal, so its response is constant across layer
     signals."""
-    cap = _action_cap(action_cap)
-    if max(len(game.leader_support), len(game.follower_support)) > cap:
-        raise ActionSpaceTooLarge(
-            f"action spaces exceed the exact-solver cap {cap}"
-        )
-    ev = PayoffEvaluator(game, enum_cap=enum_cap)
+    ev = _capped_evaluator(game, enum_cap, action_cap)
     return _solve_backward(
         ev, (L2,), SolveMethod("classical_l2"), leader_layers=(L2,)
     )
@@ -400,12 +393,7 @@ def satisficing_scne(game: ScmasGame, eps_sat: float, *,
     best-responds to that mixture exactly."""
     if eps_sat < 0:
         raise ValueError("eps_sat must be nonnegative")
-    cap = _action_cap(action_cap)
-    if max(len(game.leader_support), len(game.follower_support)) > cap:
-        raise ActionSpaceTooLarge(
-            f"action spaces exceed the exact-solver cap {cap}"
-        )
-    ev = PayoffEvaluator(game, enum_cap=enum_cap)
+    ev = _capped_evaluator(game, enum_cap, action_cap)
     pol = _satisficing_policy(ev, eps_sat)
     best = _best_leader_vs_policy(ev, pol)
     el, ef = ev.profile_value(best, pol)
@@ -490,21 +478,6 @@ def _response_value(ev, xl, w, strat) -> float:
     return _follower_value(ev, xl, w, xf)
 
 
-def _leader_alternatives(k_l: int):
-    out = [LayeredStrategy(L1)]
-    out += [LayeredStrategy(L2, action=a) for a in range(k_l)]
-    if k_l ** k_l <= 256:
-        out += [
-            LayeredStrategy(L3, counterfactual_map=m)
-            for m in itertools.product(range(k_l), repeat=k_l)
-        ]
-    else:
-        out += [
-            LayeredStrategy(L3, counterfactual_map=(a,) * k_l) for a in range(k_l)
-        ]
-    return out
-
-
 def _choice_for_observation(ev: PayoffEvaluator, obs: Observation):
     """The leader choice that would have produced this observation, or None
     if this type cannot produce it."""
@@ -525,9 +498,12 @@ def forward_induction_filter(games: list[ScmasGame],
 
     A type is plausible at an off-path observation if some assignment of
     pure follower responses to observations makes the observed (layer,
-    action) choice weakly optimal for that type. A profile is removed when
-    some off-path observation's stored response best-responds to a belief
-    pinned on an implausible type while no plausible type rationalizes it.
+    action) choice weakly optimal for that type against the stage-1
+    candidates (`_leader_candidates`); the L3 maps it leaves out differ only
+    on instinct values of zero mass, so they reach no other value. A profile
+    is removed when some off-path observation's stored response
+    best-responds to a belief pinned on an implausible type while no
+    plausible type rationalizes it.
     """
     if len(games) < 2:
         raise TypeSetTooSmall("need at least two leader types")
@@ -553,8 +529,6 @@ def forward_induction_filter(games: list[ScmasGame],
             o: LayeredStrategy(L2, action=a) for o, a in zip(obs_list, combo)
         }))
 
-    alternatives = _leader_alternatives(len(games[0].leader_support))
-
     def plausible(t: int, obs: Observation) -> bool:
         choice = _choice_for_observation(evs[t], obs)
         if choice is None:
@@ -563,7 +537,7 @@ def forward_induction_filter(games: list[ScmasGame],
             v_choice = evs[t].profile_value(choice, pol)[0]
             if all(
                 v_choice >= evs[t].profile_value(alt, pol)[0] - 1e-12
-                for alt in alternatives
+                for alt in _leader_candidates(evs[t], lambda x: pol)
             ):
                 return True
         return False

@@ -24,6 +24,7 @@ from scmas.game import (
     Observation,
     PayoffEvaluator,
     ScmasGame,
+    signal_matrix,
 )
 from scmas.scm import (
     EndogenousVar,
@@ -124,23 +125,33 @@ def resolve_action(strat, instinct):
 
 
 def oracle_profile_value(game, leader, policy):
-    """Direct expectation by plain enumeration; perfect/mechanism info only."""
-    assert game.info.kind != IMPERFECT
+    """Direct expectation by plain enumeration.
+
+    Under imperfect information the follower answers signal s with
+    probability signal_matrix[x_l, s], summed over the whole row.
+    """
+    k_l = len(game.leader_support)
+    channel = signal_matrix(k_l, game.info.sigma)
     total_l = total_f = 0.0
     for u, p in enumerate_exogenous(game.scm):
         i_l = evaluate(game.scm, u)[game.leader_action]
         x_l = resolve_action(leader, i_l)
-        lay = leader.layer if game.info.kind == MECHANISM else None
-        strat = policy.response(Observation(x_l, lay))
         i_f = evaluate(game.scm, u, {game.leader_action: x_l})[game.follower_action]
-        if isinstance(strat, MixedResponse):
-            rl = sum(w * game.rewards[x_l][a][0] for a, w in enumerate(strat.weights))
-            rf = sum(w * game.rewards[x_l][a][1] for a, w in enumerate(strat.weights))
+        if game.info.kind == IMPERFECT:
+            seen = [(Observation(s, None), channel[x_l, s]) for s in range(k_l)]
         else:
-            x_f = resolve_action(strat, i_f)
-            rl, rf = game.rewards[x_l][x_f]
-        total_l += p * rl
-        total_f += p * rf
+            lay = leader.layer if game.info.kind == MECHANISM else None
+            seen = [(Observation(x_l, lay), 1.0)]
+        for obs, q in seen:
+            strat = policy.response(obs)
+            if isinstance(strat, MixedResponse):
+                rl = sum(w * game.rewards[x_l][a][0] for a, w in enumerate(strat.weights))
+                rf = sum(w * game.rewards[x_l][a][1] for a, w in enumerate(strat.weights))
+            else:
+                x_f = resolve_action(strat, i_f)
+                rl, rf = game.rewards[x_l][x_f]
+            total_l += p * q * rl
+            total_f += p * q * rf
     return total_l, total_f
 
 

@@ -3,11 +3,13 @@ import io
 import json
 import re
 
+import numpy as np
 import pytest
 
 from scmas.errors import NoPureEquilibrium, TypeMismatch, TypeSetTooSmall
 from scmas.experiments import (
     CSV_COLUMNS,
+    _realized_play,
     bench_scaling,
     classify_signaling,
     compute_aggregate,
@@ -19,9 +21,28 @@ from scmas.experiments import (
     run_synthetic_suite,
     uniform_equilibrium_welfare,
 )
-from scmas.game import ScmasGame
-from scmas.generators import synthetic
-from scmas.solvers import exact_scne
+from scmas.game import (
+    MECHANISM,
+    FollowerPolicy,
+    InformationStructure,
+    LayeredStrategy,
+    Observation,
+    PayoffEvaluator,
+    ScmasGame,
+)
+from scmas.generators import GeneratorParams, random_instance, synthetic
+from scmas.scm import (
+    EndogenousVar,
+    ExogenousVar,
+    Scm,
+    StructuralEquation,
+    contiguous,
+    evaluate,
+    sample_exogenous,
+    table_from_fn,
+)
+from scmas.solvers import EquilibriumProfile, SolveMethod, exact_scne, observations
+from conftest import make_simple_game, resolve_action
 
 
 def _mask_timings_json(text):
@@ -212,3 +233,79 @@ def test_layer_histogram_counts_instinct_choices():
     report = run_monte_carlo(8, seed=12)
     hist = report.aggregate["layer_histogram"]
     assert hist["L1"] == 8
+
+
+def _realized_by_evaluate(game, profile, u):
+    """One draw played by evaluating the SCM at it, one draw at a time."""
+    i_l = evaluate(game.scm, u)[game.leader_action]
+    x_l = resolve_action(profile.leader, i_l)
+    lay = profile.leader.layer if game.info.kind == MECHANISM else None
+    strat = profile.follower.response(Observation(x_l, lay))
+    i_f = evaluate(game.scm, u, {game.leader_action: x_l})[game.follower_action]
+    return x_l, resolve_action(strat, i_f)
+
+
+def _reacting_cycle_game(info):
+    """Cycles through both action nodes, run as forward passes, and a follower
+    instinct that reacts to the leader's action."""
+    k = 3
+    scm = Scm(
+        exogenous=(ExogenousVar("UL", contiguous(k), (0.5, 0.3, 0.2)),
+                   ExogenousVar("UF", contiguous(k), (0.2, 0.3, 0.5))),
+        endogenous=(EndogenousVar("Z1", (0, 1)), EndogenousVar("Z2", (0, 1)),
+                    EndogenousVar("XL", contiguous(k)), EndogenousVar("XF", contiguous(k))),
+        equations=(
+            StructuralEquation("Z1", ("XL",), table_from_fn([k], lambda x: int(x == 0))),
+            StructuralEquation("Z2", ("XF",), table_from_fn([k], lambda x: x % 2)),
+            StructuralEquation("XL", ("UL", "Z1"),
+                               table_from_fn([k, 2], lambda u, z: (u + z) % k)),
+            StructuralEquation("XF", ("UF", "XL", "Z2"),
+                               table_from_fn([k, k, 2], lambda u, x, z: (u + x + z) % k)),
+        ),
+        action_nodes=("XL", "XF"),
+        order=("Z1", "Z2", "XL", "XF"),
+    )
+    rewards = tuple(tuple((0.0, 0.0) for _ in range(k)) for _ in range(k))
+    return ScmasGame(scm, "XL", "XF", rewards, info)
+
+
+def _realized_play_games(info):
+    yield make_simple_game([[0] * 3] * 3, [[0] * 3] * 3, (0.3, 0.3, 0.4),
+                           (0.2, 0.5, 0.3), info=info, correlated=True)
+    yield _reacting_cycle_game(info)
+    for seed, topology in enumerate(("leader_cycle", "follower_cycle")):
+        yield random_instance(GeneratorParams(3, 3, topology, info, "uniform", 0.4,
+                                              300 + seed))
+
+
+@pytest.mark.parametrize("info", [InformationStructure("perfect"),
+                                  InformationStructure("mechanism")])
+def test_realized_play_matches_per_draw_evaluation(info):
+    rng = np.random.default_rng(0)
+    layers_played = set()
+    for game in _realized_play_games(info):
+        draws = sample_exogenous(game.scm, 5, 60)
+        ev = PayoffEvaluator(game, joints=draws, weights=np.full(60, 1 / 60))
+        leaders = [LayeredStrategy("L1"), LayeredStrategy("L2", action=1),
+                   LayeredStrategy("L3", counterfactual_map=(2, 0, 1)),
+                   LayeredStrategy("L3", counterfactual_map=rng.integers(3, size=3))]
+        for shift in range(3):  # every observation meets every follower layer
+            responses = {}
+            for i, obs in enumerate(observations(game)):
+                layer = ("L1", "L2", "L3")[(i + shift) % 3]
+                responses[obs] = (
+                    LayeredStrategy("L1") if layer == "L1"
+                    else LayeredStrategy("L2", action=int(rng.integers(3))) if layer == "L2"
+                    else LayeredStrategy("L3", counterfactual_map=rng.integers(3, size=3))
+                )
+            pol = FollowerPolicy(responses)
+            for leader in leaders:
+                profile = EquilibriumProfile(leader, pol, 0.0, 0.0, 0.0,
+                                             SolveMethod("exact"))
+                want = [_realized_by_evaluate(game, profile, u) for u in draws]
+                assert _realized_play(ev, profile) == want
+                lay = leader.layer if info.kind == MECHANISM else None
+                layers_played |= {(leader.layer, pol.response(Observation(x_l, lay)).layer)
+                                  for x_l, _ in want}
+    assert layers_played == {(a, b) for a in ("L1", "L2", "L3")
+                             for b in ("L1", "L2", "L3")}

@@ -558,3 +558,74 @@ def test_vectorized_follower_choice_matches_loop(k_f, weights):
         assert strat.counterfactual_map == cmap
         assert all(cmap[v] == 0 for v in range(k_f) if not w[instincts == v].any())
         assert v3 == float(np.dot(w, ev.RF[xl, np.asarray(cmap)[instincts]]))
+
+
+# --- imperfect information against the plain-enumeration oracle ----------------
+
+
+def _imperfect_games(sigma):
+    info = InformationStructure("imperfect", sigma)
+    yield make_simple_game([[4, 1, 0], [2, 7, 3], [5, 0, 6]],
+                           [[3, 5, 1], [6, 0, 2], [1, 4, 4]],
+                           (0.3, 0.3, 0.4), (0.2, 0.5, 0.3), info=info,
+                           correlated=True)
+    for seed, topology in enumerate(("independent", "fork_collider", "leader_cycle",
+                                     "follower_cycle")):
+        yield random_instance(_params(nxl=3, nxf=3, topology=topology, info=info,
+                                      seed=700 + seed))
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0])
+def test_imperfect_payoffs_match_oracle(sigma):
+    for game in _imperfect_games(sigma):
+        k_l, k_f = len(game.leader_support), len(game.follower_support)
+        prof = exact_scne(game)
+        obs = observations(game)
+        fixed = [
+            FollowerPolicy({o: LayeredStrategy("L1") for o in obs}),
+            FollowerPolicy({o: LayeredStrategy("L2", action=o.action_signal % k_f)
+                            for o in obs}),
+            FollowerPolicy({o: LayeredStrategy(
+                "L3", counterfactual_map=[(v + o.action_signal) % k_f for v in range(k_f)])
+                for o in obs}),
+            FollowerPolicy({o: MixedResponse((1 / k_f,) * k_f) for o in obs}),
+        ]
+        leaders = [prof.leader, LayeredStrategy("L1"), LayeredStrategy("L2", action=k_l - 1),
+                   LayeredStrategy("L3", counterfactual_map=[k_l - 1 - v for v in range(k_l)])]
+        assert expected_payoffs(game, prof.leader, prof.follower) == pytest.approx(
+            oracle_profile_value(game, prof.leader, prof.follower), abs=1e-12)
+        for leader in leaders:
+            for pol in fixed:
+                assert expected_payoffs(game, leader, pol) == pytest.approx(
+                    oracle_profile_value(game, leader, pol), abs=1e-12)
+
+
+# --- forward induction's alternatives ------------------------------------------
+
+
+@pytest.mark.parametrize("k_l, leader_masses, n_maps", [
+    (2, (1.0, 0.0), None),
+    (3, (0.6, 0.0, 0.4), None),
+    (4, (0.0, 0.3, 0.0, 0.7), 96),
+    (4, (0.2, 0.3, 0.5, 0.0), 96),
+])
+def test_leader_candidates_reach_the_best_of_all_strategies(k_l, leader_masses, n_maps):
+    # Against every pure response map (a seeded sample of them at k_L = 4),
+    # the candidates that forward induction compares reach the same best
+    # value as every leader strategy.
+    rng = np.random.default_rng(k_l)
+    rl = rng.integers(0, 6, size=(k_l, 2)).tolist()
+    game = make_simple_game(rl, [[0, 0]] * k_l, leader_masses, (0.5, 0.5),
+                            info=InformationStructure("mechanism"))
+    ev = PayoffEvaluator(game)
+    obs = observations(game)
+    combos = list(itertools.product(range(2), repeat=len(obs)))
+    if n_maps is not None:
+        combos = [combos[i] for i in rng.choice(len(combos), n_maps, replace=False)]
+    for combo in combos:
+        pol = FollowerPolicy({o: LayeredStrategy("L2", action=a)
+                              for o, a in zip(obs, combo)})
+        best_cands = max(ev.profile_value(c, pol)[0]
+                         for c in solvers._leader_candidates(ev, lambda x: pol))
+        best_all = max(ev.profile_value(c, pol)[0] for c in all_leader_strategies(k_l))
+        assert best_cands == pytest.approx(best_all, abs=1e-12)
