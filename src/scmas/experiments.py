@@ -164,7 +164,9 @@ def _compare(game_a, prof_a, game_b, prof_b) -> bool:
     )
 
 
-def _solve_and_measure(game, approx_epsilon, approx_seed):
+def _solve_and_compare(game, approx_epsilon, approx_seed):
+    """The exact profile and a row's comparison fields, scne_welfare
+    through approx_error, from the exact, classical and approx solves."""
     t0 = time.perf_counter()
     scne = exact_scne(game)
     t_exact = time.perf_counter() - t0
@@ -172,7 +174,16 @@ def _solve_and_measure(game, approx_epsilon, approx_seed):
     t0 = time.perf_counter()
     approx = approx_scne(game, approx_epsilon, approx_seed)
     t_approx = time.perf_counter() - t0
-    return scne, classical, approx, t_exact, t_approx
+    return scne, dict(
+        scne_welfare=scne.welfare,
+        classical_welfare=classical.welfare,
+        welfare_delta=scne.welfare - classical.welfare,
+        pareto_improved=_pareto_improved(scne, classical),
+        leader_layer=scne.leader.layer,
+        t_exact_s=t_exact,
+        t_approx_s=t_approx,
+        approx_error=abs(approx.leader_payoff - scne.leader_payoff) / PAYOFF_SCALE,
+    )
 
 
 def _pareto_improved(scne, classical) -> bool:
@@ -214,14 +225,16 @@ def _mc_instance(args) -> InstanceResult:
     params = _draw_params(grid, rng, game_seed)
     try:
         game = random_instance(params)
-        scne, classical, approx, t_exact, t_approx = _solve_and_measure(
-            game, approx_epsilon, approx_seed
-        )
+        scne, compared = _solve_and_compare(game, approx_epsilon, approx_seed)
         # Swap in perfect vs mechanism information on the same draw and check
-        # that the equilibrium outcome does not move.
-        g_perf = random_instance(replace(params, info=InformationStructure(PERFECT)))
-        g_mech = random_instance(replace(params, info=InformationStructure(MECHANISM)))
-        invariant = _compare(g_perf, exact_scne(g_perf), g_mech, exact_scne(g_mech))
+        # that the equilibrium outcome does not move. The drawn game is one
+        # of the pair unless its information is imperfect.
+        pair = {params.info.kind: (game, scne)}
+        for kind in (PERFECT, MECHANISM):
+            if kind not in pair:
+                g = random_instance(replace(params, info=InformationStructure(kind)))
+                pair[kind] = (g, exact_scne(g))
+        invariant = _compare(*pair[PERFECT], *pair[MECHANISM])
         return InstanceResult(
             instance_id=idx,
             seed=game_seed,
@@ -231,14 +244,7 @@ def _mc_instance(args) -> InstanceResult:
             info=info_token(params.info),
             payoff_dist=params.payoff_dist,
             instinct_quality=params.instinct_quality,
-            scne_welfare=scne.welfare,
-            classical_welfare=classical.welfare,
-            welfare_delta=scne.welfare - classical.welfare,
-            pareto_improved=_pareto_improved(scne, classical),
-            leader_layer=scne.leader.layer,
-            t_exact_s=t_exact,
-            t_approx_s=t_approx,
-            approx_error=abs(approx.leader_payoff - scne.leader_payoff) / PAYOFF_SCALE,
+            **compared,
             info_invariant=invariant,
         )
     except ScmasError as exc:  # recorded per instance, the run continues
@@ -280,9 +286,7 @@ def _synthetic_instance(args) -> InstanceResult:
     idx, name, seed, approx_epsilon = args
     game = synthetic(name, seed)
     approx_seed = int(np.random.default_rng(_entropy(seed, idx)).integers(2 ** 62))
-    scne, classical, approx, t_exact, t_approx = _solve_and_measure(
-        game, approx_epsilon, approx_seed
-    )
+    _, compared = _solve_and_compare(game, approx_epsilon, approx_seed)
     return InstanceResult(
         instance_id=idx,
         seed=seed,
@@ -292,14 +296,7 @@ def _synthetic_instance(args) -> InstanceResult:
         info=info_token(game.info),
         payoff_dist="fixed",
         instinct_quality=game.meta["instinct_quality"],
-        scne_welfare=scne.welfare,
-        classical_welfare=classical.welfare,
-        welfare_delta=scne.welfare - classical.welfare,
-        pareto_improved=_pareto_improved(scne, classical),
-        leader_layer=scne.leader.layer,
-        t_exact_s=t_exact,
-        t_approx_s=t_approx,
-        approx_error=abs(approx.leader_payoff - scne.leader_payoff) / PAYOFF_SCALE,
+        **compared,
     )
 
 

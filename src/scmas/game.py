@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import UnknownVariable
 from .scm import (
-    DEFAULT_ENUM_CAP,
     Scm,
     compiled_evaluate,
     enumerate_exogenous,
@@ -253,12 +252,12 @@ class PayoffEvaluator:
     possible leader action (the follower's mechanism may react to it).
     """
 
-    def __init__(self, game: ScmasGame, *, enum_cap: int = DEFAULT_ENUM_CAP,
-                 joints=None, weights=None, precomputed=None):
+    def __init__(self, game: ScmasGame, *, joints=None, weights=None,
+                 precomputed=None):
         self.game = game
         scm = game.scm
         if joints is None:
-            pairs = enumerate_exogenous(scm, cap=enum_cap)
+            pairs = enumerate_exogenous(scm)
             joints = [a for a, _ in pairs]
             weights = np.array([p for _, p in pairs], dtype=float)
         else:
@@ -359,14 +358,13 @@ class PayoffEvaluator:
 
 
 def expected_payoffs(game: ScmasGame, leader: LayeredStrategy,
-                     follower: FollowerPolicy, *,
-                     enum_cap: int = DEFAULT_ENUM_CAP) -> tuple[float, float]:
+                     follower: FollowerPolicy) -> tuple[float, float]:
     """Exact expected rewards of (leader strategy, follower policy).
 
     Expectation is over the enumerated exogenous space and, under imperfect
     information, the discretized noise channel.
     """
-    ev = PayoffEvaluator(game, enum_cap=enum_cap)
+    ev = PayoffEvaluator(game)
     return ev.profile_value(leader, follower)
 
 

@@ -20,6 +20,16 @@ follower observes it. What the follower observes of a realized leader action
 is `PayoffEvaluator.channel`, the one place that reads the information
 structure when payoffs are summed.
 
+Every search for the leader's best reply is `_best_leader`: against the
+follower's best response (exact, classical, approx) or against one fixed
+follower policy (satisficing, the tremble check, forward induction's
+plausibility test). Every per-observation follower policy is built by
+`_policy`. The search enumerates only the leader layers it is asked for, so
+classical never searches L3. When the reached instinct values admit more than
+L3_ENUM_LIMIT (4,096) leader maps, every solver and check that searches L3
+(exact, approx, satisficing, tremble, forward induction) raises TooLarge
+rather than settle for a map it cannot verify.
+
 The exhaustive solvers (exact, classical, satisficing) share one action-space
 cap: the `action_cap` argument, else SCMAS_EXACT_CAP, else 8.
 """
@@ -54,22 +64,18 @@ from .game import (
     PayoffEvaluator,
     ScmasGame,
 )
-from .scm import DEFAULT_ENUM_CAP, sample_exogenous
+from .scm import sample_exogenous
 
 DEFAULT_ACTION_CAP = 8
-# Leader L3 maps are enumerated over the reached instinct values while there
-# are at most this many of them. Above it one map is assembled pointwise per
-# instinct value. That fallback is unchecked: it is exact only when the
-# leader's instinct is independent of the rest of the model, which neither
-# the solver nor the generators guarantee.
+# The most leader L3 maps over the reached instinct values that stage 1
+# enumerates; above it the search raises TooLarge.
 L3_ENUM_LIMIT = 4096
 
-DEFAULT_SAMPLE_CONSTANT = 0.5
+SAMPLE_CONSTANT = 0.5
 DEFAULT_TREMBLE_GRID = (1e-2, 1e-3, 1e-4)
 
 
-def _capped_evaluator(game: ScmasGame, enum_cap: int,
-                      action_cap: int | None) -> PayoffEvaluator:
+def _capped_evaluator(game: ScmasGame, action_cap: int | None) -> PayoffEvaluator:
     """The exact evaluator of a game whose action spaces fit the cap of the
     exhaustive solvers: action_cap if given, else SCMAS_EXACT_CAP, else 8."""
     cap = action_cap
@@ -80,7 +86,7 @@ def _capped_evaluator(game: ScmasGame, enum_cap: int,
             f"action spaces exceed the exact-solver cap {cap} "
             "(set SCMAS_EXACT_CAP or use the sampling solver)"
         )
-    return PayoffEvaluator(game, enum_cap=enum_cap)
+    return PayoffEvaluator(game)
 
 
 @dataclass(frozen=True)
@@ -203,66 +209,54 @@ def _best_follower_at(ev, xl, w, layers=LAYERS):
     return best[1]
 
 
+def _policy(ev: PayoffEvaluator, answer, leader_layer: str | None,
+            leader_xl: np.ndarray | None) -> FollowerPolicy:
+    """The follower policy that answers every observation with answer(xl, w)
+    at its posterior (`_posterior`) under the leader action process."""
+    return FollowerPolicy({
+        obs: answer(*_posterior(ev, obs, leader_layer, leader_xl))
+        for obs in observations(ev.game)
+    })
+
+
 def _stage2(ev: PayoffEvaluator, leader_layer: str | None,
             leader_xl: np.ndarray | None, layers=LAYERS) -> FollowerPolicy:
-    responses = {}
-    for obs in observations(ev.game):
-        xl, w = _posterior(ev, obs, leader_layer, leader_xl)
-        responses[obs] = _best_follower_at(ev, xl, w, layers)
-    return FollowerPolicy(responses)
+    return _policy(ev, lambda xl, w: _best_follower_at(ev, xl, w, layers),
+                   leader_layer, leader_xl)
 
 
 def follower_best_response(game: ScmasGame, observation: Observation,
-                           follower_layer: str, *,
-                           enum_cap: int = DEFAULT_ENUM_CAP) -> LayeredStrategy:
+                           follower_layer: str) -> LayeredStrategy:
     """Best within-layer response to a single observation taken at face value."""
-    ev = PayoffEvaluator(game, enum_cap=enum_cap)
+    ev = PayoffEvaluator(game)
     xl, w = _posterior(ev, observation, None, None)
     _, strat = _best_in_layer(ev, xl, w, follower_layer)
     return strat
 
 
-def _conditional_leader_value(ev, idx, x, policy, leader_layer):
-    """Leader reward mass from the joints in idx when the leader plays x."""
-    total = 0.0
-    for obs, p in ev.channel(x, leader_layer):
-        total += ev._group_value(idx, x, policy.response(obs), scale=p)[0]
-    return total
-
-
-def _pointwise_leader_map(ev, policy_for_action) -> tuple[int, ...]:
-    """Assemble the leader's counterfactual map one instinct value at a time.
-
-    policy_for_action(x) must give the follower policy in force when the
-    leader's realized action is x.
-    """
-    cmap = []
-    for v in range(ev.k_l):
-        idx = np.flatnonzero(ev.i_leader == v)
-        best_x, best_v = 0, -math.inf
-        for x in range(ev.k_l):
-            val = _conditional_leader_value(ev, idx, x, policy_for_action(x), L3)
-            if val > best_v:
-                best_x, best_v = x, val
-        cmap.append(best_x)
-    return tuple(cmap)
-
-
-def _leader_candidates(ev, policy_for_action):
-    """Leader strategies in tie-break order: L1, L2 by action, then L3.
+def _leader_candidates(ev, layers=LAYERS):
+    """Leader strategies of the given layers in tie-break order: L1, L2 by
+    action, then L3.
 
     L3 maps range over the reached instinct values (positive mass) in
-    product order, unreached entries 0.
+    product order, unreached entries 0. More than L3_ENUM_LIMIT of them
+    raise TooLarge before any candidate is yielded.
     """
-    yield LayeredStrategy(L1)
-    for a in range(ev.k_l):
-        yield LayeredStrategy(L2, action=a)
-    mass = np.bincount(ev.i_leader, weights=ev.weights, minlength=ev.k_l)
-    reached = np.flatnonzero(mass > 0)
-    if ev.k_l ** len(reached) > L3_ENUM_LIMIT:
-        yield LayeredStrategy(
-            L3, counterfactual_map=_pointwise_leader_map(ev, policy_for_action)
-        )
+    if L3 in layers:
+        mass = np.bincount(ev.i_leader, weights=ev.weights, minlength=ev.k_l)
+        reached = np.flatnonzero(mass > 0)
+        n_maps = ev.k_l ** len(reached)
+        if n_maps > L3_ENUM_LIMIT:
+            raise TooLarge(
+                f"{n_maps} leader L3 maps over {len(reached)} reached instinct "
+                f"values exceed L3_ENUM_LIMIT={L3_ENUM_LIMIT}"
+            )
+    if L1 in layers:
+        yield LayeredStrategy(L1)
+    if L2 in layers:
+        for a in range(ev.k_l):
+            yield LayeredStrategy(L2, action=a)
+    if L3 not in layers:
         return
     cmap = [0] * ev.k_l
     for values in itertools.product(range(ev.k_l), repeat=len(reached)):
@@ -278,38 +272,36 @@ def _process_key(ev: PayoffEvaluator, layer: str, xl: np.ndarray):
     return (layer if ev.game.info.kind == MECHANISM else None, xl.tobytes())
 
 
-def _solve_backward(ev: PayoffEvaluator, follower_layers, method: SolveMethod,
-                    payoff_ev: PayoffEvaluator | None = None,
-                    leader_layers=LAYERS) -> EquilibriumProfile:
-    """Backward induction on an evaluator (exact or empirical measure).
+def _best_leader(ev: PayoffEvaluator, respond, leader_layers=LAYERS):
+    """The leader's best candidate when respond(layer, xl) gives the follower
+    policy in force against each leader action process.
 
-    Candidates inducing the same action process (`_process_key`) have
-    identical stage-2 responses and payoffs, so both are cached on that key.
+    Returns (leader payoff, follower payoff, follower policy, leader
+    strategy), replacing the incumbent only on a strict improvement.
+    Candidates inducing the same action process (`_process_key`) share one
+    response and one payoff pair, so both are cached on that key.
     """
     cache: dict = {}
-
-    def evaluated(cand: LayeredStrategy):
+    best = None
+    for cand in _leader_candidates(ev, leader_layers):
         xl = ev.leader_actions(cand)
         key = _process_key(ev, cand.layer, xl)
         hit = cache.get(key)
         if hit is None:
-            pol = _stage2(ev, cand.layer, xl, follower_layers)
-            el, ef = ev.value_from_actions(xl, cand.layer, pol)
-            hit = cache[key] = (el, ef, pol)
-        return hit
+            pol = respond(cand.layer, xl)
+            hit = cache[key] = (*ev.value_from_actions(xl, cand.layer, pol), pol)
+        if best is None or hit[0] > best[0]:
+            best = (*hit, cand)
+    return best
 
-    def policy_for_action(x: int) -> FollowerPolicy:
-        return evaluated(LayeredStrategy(L2, action=x))[2]
 
-    best = None
-    for cand in _leader_candidates(ev, policy_for_action):
-        if cand.layer not in leader_layers:
-            continue
-        el, ef, pol = evaluated(cand)
-        if best is None or el > best[0]:
-            best = (el, ef, cand, pol)
-
-    el, ef, cand, pol = best
+def _solve_backward(ev: PayoffEvaluator, follower_layers, method: SolveMethod,
+                    payoff_ev: PayoffEvaluator | None = None,
+                    leader_layers=LAYERS) -> EquilibriumProfile:
+    """Backward induction on an evaluator (exact or empirical measure)."""
+    el, ef, pol, cand = _best_leader(
+        ev, lambda layer, xl: _stage2(ev, layer, xl, follower_layers), leader_layers
+    )
     if payoff_ev is not None:
         el, ef = payoff_ev.profile_value(cand, pol)
     return EquilibriumProfile(
@@ -322,42 +314,41 @@ def _solve_backward(ev: PayoffEvaluator, follower_layers, method: SolveMethod,
     )
 
 
-def exact_scne(game: ScmasGame, *, enum_cap: int = DEFAULT_ENUM_CAP,
+def exact_scne(game: ScmasGame, *,
                action_cap: int | None = None) -> EquilibriumProfile:
     """Exact equilibrium by exhaustive backward induction."""
-    ev = _capped_evaluator(game, enum_cap, action_cap)
+    ev = _capped_evaluator(game, action_cap)
     return _solve_backward(ev, LAYERS, SolveMethod("exact"))
 
 
-def classical_stackelberg(game: ScmasGame, *, enum_cap: int = DEFAULT_ENUM_CAP,
+def classical_stackelberg(game: ScmasGame, *,
                           action_cap: int | None = None) -> EquilibriumProfile:
     """Baseline: both agents restricted to deliberate (L2) play; the follower
     keys only on the action signal, so its response is constant across layer
     signals."""
-    ev = _capped_evaluator(game, enum_cap, action_cap)
+    ev = _capped_evaluator(game, action_cap)
     return _solve_backward(
         ev, (L2,), SolveMethod("classical_l2"), leader_layers=(L2,)
     )
 
 
-def approx_scne(game: ScmasGame, epsilon: float, seed: int, *,
-                sample_constant: float = DEFAULT_SAMPLE_CONSTANT,
-                enum_cap: int = DEFAULT_ENUM_CAP) -> EquilibriumProfile:
+def approx_scne(game: ScmasGame, epsilon: float, seed: int) -> EquilibriumProfile:
     """Sampling approximation: empirical best responses on N causal draws.
 
-    N = ceil(c * eps^-2 * ln(max(|X_L|, |X_F|, 2))). The returned strategies
-    come from the empirical comparison; the reported payoffs are recomputed
-    exactly when the exogenous space is enumerable, so the profile invariant
-    (payoffs reproducible from the stored strategies) holds either way.
+    N = ceil(c * eps^-2 * ln(max(|X_L|, |X_F|, 2))) with c = SAMPLE_CONSTANT.
+    The returned strategies come from the empirical comparison; the reported
+    payoffs are recomputed exactly when the exogenous space is enumerable, so
+    the profile invariant (payoffs reproducible from the stored strategies)
+    holds either way.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     k = max(len(game.leader_support), len(game.follower_support), 2)
-    n = math.ceil(sample_constant * epsilon ** -2 * math.log(k))
+    n = math.ceil(SAMPLE_CONSTANT * epsilon ** -2 * math.log(k))
     n = max(n, 1)
     joints = sample_exogenous(game.scm, seed, n)
     try:
-        payoff_ev = PayoffEvaluator(game, enum_cap=enum_cap)
+        payoff_ev = PayoffEvaluator(game)
     except CapExceeded:
         payoff_ev = None
     if payoff_ev is not None:
@@ -371,32 +362,23 @@ def approx_scne(game: ScmasGame, epsilon: float, seed: int, *,
     return _solve_backward(ev, LAYERS, method, payoff_ev=payoff_ev)
 
 
-def _satisficing_policy(ev: PayoffEvaluator, eps_sat: float) -> FollowerPolicy:
-    responses = {}
-    for obs in observations(ev.game):
-        xl, w = _posterior(ev, obs, None, None)
-        vals = _action_values(ev, xl, w)
-        top = max(vals)
-        accept = [a for a, v in enumerate(vals) if v >= top - eps_sat]
-        weights = [0.0] * ev.k_f
-        for a in accept:
-            weights[a] = 1.0 / len(accept)
-        responses[obs] = MixedResponse(tuple(weights))
-    return FollowerPolicy(responses)
-
-
 def satisficing_scne(game: ScmasGame, eps_sat: float, *,
-                     enum_cap: int = DEFAULT_ENUM_CAP,
                      action_cap: int | None = None) -> EquilibriumProfile:
     """Follower accepts anything within eps_sat of its best reward at each
     observation and mixes uniformly over the acceptance set; the leader
     best-responds to that mixture exactly."""
     if eps_sat < 0:
         raise ValueError("eps_sat must be nonnegative")
-    ev = _capped_evaluator(game, enum_cap, action_cap)
-    pol = _satisficing_policy(ev, eps_sat)
-    best = _best_leader_vs_policy(ev, pol)
-    el, ef = ev.profile_value(best, pol)
+    ev = _capped_evaluator(game, action_cap)
+
+    def satisfice(xl, w):
+        vals = _action_values(ev, xl, w)
+        top = max(vals)
+        accept = [float(v >= top - eps_sat) for v in vals]
+        return MixedResponse(tuple(a / sum(accept) for a in accept))
+
+    pol = _policy(ev, satisfice, None, None)
+    el, ef, _, best = _best_leader(ev, lambda layer, xl: pol)
     return EquilibriumProfile(
         leader=best,
         follower=pol,
@@ -407,24 +389,8 @@ def satisficing_scne(game: ScmasGame, eps_sat: float, *,
     )
 
 
-def _best_leader_vs_policy(ev: PayoffEvaluator, pol: FollowerPolicy) -> LayeredStrategy:
-    """Leader's best (layer, strategy) against one fixed follower policy."""
-    best = None
-    cache: dict = {}
-    for cand in _leader_candidates(ev, lambda x: pol):
-        xl = ev.leader_actions(cand)
-        key = _process_key(ev, cand.layer, xl)
-        el = cache.get(key)
-        if el is None:
-            el = cache[key] = ev.value_from_actions(xl, cand.layer, pol)[0]
-        if best is None or el > best[0]:
-            best = (el, cand)
-    return best[1]
-
-
 def trembling_hand_check(game: ScmasGame, profile: EquilibriumProfile,
-                         eps_grid=DEFAULT_TREMBLE_GRID, *,
-                         enum_cap: int = DEFAULT_ENUM_CAP) -> bool:
+                         eps_grid=DEFAULT_TREMBLE_GRID) -> bool:
     """Finite-grid surrogate for trembling-hand perfection.
 
     For each grid epsilon the follower is forced to put probability epsilon
@@ -433,21 +399,20 @@ def trembling_hand_check(game: ScmasGame, profile: EquilibriumProfile,
     the tie-break rule) against every such perturbation. This is a sound
     desk-scale surrogate for the limit definition, not the limit itself.
     """
-    ev = PayoffEvaluator(game, enum_cap=enum_cap)
+    ev = PayoffEvaluator(game)
     leader_xl = ev.leader_actions(profile.leader)
     for eps in eps_grid:
         extra = 1.0 - ev.k_f * eps
         if extra < 0:
             raise ValueError(f"epsilon {eps} too large for {ev.k_f} actions")
-        responses = {}
-        for obs in observations(game):
-            xl, w = _posterior(ev, obs, profile.leader.layer, leader_xl)
-            best_a = _first_argmax(_action_values(ev, xl, w))
+
+        def tremble(xl, w):
             weights = [eps] * ev.k_f
-            weights[best_a] += extra
-            responses[obs] = MixedResponse(tuple(weights))
-        pol = FollowerPolicy(responses)
-        if _best_leader_vs_policy(ev, pol) != profile.leader:
+            weights[_first_argmax(_action_values(ev, xl, w))] += extra
+            return MixedResponse(tuple(weights))
+
+        pol = _policy(ev, tremble, profile.leader.layer, leader_xl)
+        if _best_leader(ev, lambda layer, xl: pol)[3] != profile.leader:
             return False
     return True
 
@@ -491,16 +456,16 @@ def _choice_for_observation(ev: PayoffEvaluator, obs: Observation):
 
 
 def forward_induction_filter(games: list[ScmasGame],
-                             profiles: list[EquilibriumProfile], *,
-                             enum_cap: int = DEFAULT_ENUM_CAP) -> list[EquilibriumProfile]:
+                             profiles: list[EquilibriumProfile]) -> list[EquilibriumProfile]:
     """Drop profiles whose off-path responses are explicable only by beliefs
     in leader types for whom the observed choice is never optimal.
 
     A type is plausible at an off-path observation if some assignment of
     pure follower responses to observations makes the observed (layer,
-    action) choice weakly optimal for that type against the stage-1
-    candidates (`_leader_candidates`); the L3 maps it leaves out differ only
-    on instinct values of zero mass, so they reach no other value. A profile
+    action) choice weakly optimal for that type: its value is within 1e-12
+    of the type's best reply to those responses (`_best_leader`), whose L3
+    maps leave out only maps that differ on instinct values of zero mass and
+    so reach no other value. A profile
     is removed when some off-path observation's stored response
     best-responds to a belief pinned on an implausible type while no
     plausible type rationalizes it.
@@ -516,7 +481,7 @@ def forward_induction_filter(games: list[ScmasGame],
     if not profiles:
         return []
 
-    evs = [PayoffEvaluator(g, enum_cap=enum_cap) for g in games]
+    evs = [PayoffEvaluator(g) for g in games]
     obs_list = observations(games[0])
     k_f = len(games[0].follower_support)
     n_maps = k_f ** len(obs_list)
@@ -535,10 +500,7 @@ def forward_induction_filter(games: list[ScmasGame],
             return False
         for pol in response_maps:
             v_choice = evs[t].profile_value(choice, pol)[0]
-            if all(
-                v_choice >= evs[t].profile_value(alt, pol)[0] - 1e-12
-                for alt in _leader_candidates(evs[t], lambda x: pol)
-            ):
+            if v_choice >= _best_leader(evs[t], lambda layer, xl: pol)[0] - 1e-12:
                 return True
         return False
 

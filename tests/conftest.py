@@ -98,6 +98,14 @@ def make_simple_game(rl, rf, leader_masses, follower_masses, info=None,
     )
 
 
+def six_action_game():
+    """Six leader actions whose instinct reaches five values, so the leader
+    has 6**5 = 7,776 L3 maps over them: more than the solvers' limit."""
+    return make_simple_game([[i, 5 - i] for i in range(6)],
+                            [[i % 2, 1 - i % 2] for i in range(6)],
+                            (0.2, 0.2, 0.2, 0.2, 0.2, 0.0), (0.5, 0.5))
+
+
 def all_follower_strategies(k_f):
     yield LayeredStrategy(L1)
     for a in range(k_f):

@@ -5,6 +5,8 @@ import sys
 import pytest
 
 from scmas.cli import main
+from scmas.game import game_to_dict
+from conftest import six_action_game
 
 
 def run_cli(args):
@@ -72,6 +74,17 @@ def test_solve_satisficing_emits_mixture(tmp_path, capsys):
     entry = next(e for e in payload["follower"]
                  if e["observation"]["action_signal"] == 0)
     assert entry["response"]["mixture"] == pytest.approx([1 / 3] * 3)
+
+
+def test_solve_exact_refuses_too_many_leader_maps(tmp_path, capsys):
+    out = tmp_path / "g.json"
+    out.write_text(json.dumps(game_to_dict(six_action_game())))
+    assert run_cli(["solve", str(out), "--method", "exact"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "7776 leader L3 maps" in captured.err
+    assert "L3_ENUM_LIMIT=4096" in captured.err
+    assert run_cli(["solve", str(out), "--method", "classical"]) == 0
 
 
 def test_solve_missing_file_exits_1(capsys):

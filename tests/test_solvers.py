@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from scmas import solvers
-from scmas.errors import ActionSpaceTooLarge, TypeMismatch, TypeSetTooSmall
+from scmas.errors import (
+    ActionSpaceTooLarge,
+    CapExceeded,
+    TooLarge,
+    TypeMismatch,
+    TypeSetTooSmall,
+)
 from scmas.game import (
     FollowerPolicy,
     InformationStructure,
@@ -41,6 +47,7 @@ from conftest import (
     oracle_backward_induction,
     oracle_profile_value,
     resolve_action,
+    six_action_game,
 )
 
 
@@ -148,11 +155,16 @@ def test_exact_matches_oracle_with_stochastic_leader_instinct():
             assert_no_profitable_deviation(game, prof, tol=1e-9)
 
 
+def _deterministic_game(bins):
+    # Single-point instinct distributions: no sampling variance at any N.
+    return make_simple_game([[4, 1], [2, 7]], [[3, 5], [6, 0]],
+                            (1.0, 0.0), (1.0, 0.0), bins=bins)
+
+
 def test_enumeration_cap_propagates():
-    from scmas.errors import CapExceeded
-    game = random_instance(_params(seed=4))
+    # 1001 bins per exogenous variable: 1,002,001 joints, over the 10**6 cap.
     with pytest.raises(CapExceeded):
-        exact_scne(game, enum_cap=3)
+        exact_scne(_deterministic_game(1001))
 
 
 def test_action_cap_enforced_and_overridable():
@@ -230,14 +242,24 @@ def test_approx_deterministic_per_seed():
 
 
 def test_approx_equals_exact_on_deterministic_model():
-    # single-point exogenous supports: no sampling variance at any N
-    game = make_simple_game([[4, 1], [2, 7]], [[3, 5], [6, 0]],
-                            (1.0, 0.0), (1.0, 0.0), bins=10)
+    game = _deterministic_game(10)
     exact = exact_scne(game)
     for eps in (0.5, 0.1):
         approx = approx_scne(game, eps, seed=3)
         assert approx.leader == exact.leader
         assert approx.leader_payoff == exact.leader_payoff
+
+
+def test_approx_samples_when_the_space_is_not_enumerable():
+    # Too many joints to enumerate, so approx solves and reports on its
+    # draws alone; they agree with the exact profile of the 10-bin twin.
+    approx = approx_scne(_deterministic_game(1001), 0.5, seed=3)
+    exact = exact_scne(_deterministic_game(10))
+    assert approx.leader == exact.leader == LayeredStrategy("L2", action=1)
+    assert approx.follower == exact.follower
+    assert approx.leader_payoff == pytest.approx(exact.leader_payoff, abs=1e-12)
+    assert approx.follower_payoff == pytest.approx(exact.follower_payoff, abs=1e-12)
+    assert exact.leader_payoff == pytest.approx(2.0, abs=1e-12)
 
 
 def test_approx_close_to_exact_on_small_instance():
@@ -476,29 +498,26 @@ def test_leader_search_keeps_the_layer_under_mechanism_information():
         obs: LayeredStrategy("L2", action=int(obs.layer_signal == "L3"))
         for obs in observations(game)
     })
-    best = solvers._best_leader_vs_policy(PayoffEvaluator(game), pol)
+    best = solvers._best_leader(PayoffEvaluator(game), lambda layer, xl: pol)[3]
     assert best == LayeredStrategy("L3", counterfactual_map=(0, 0))
 
 
 @pytest.mark.parametrize("k_l", [3, 4, 5])
 def test_leader_candidates_count_reached_maps(k_l, monkeypatch):
-    def no_fallback(x):
-        raise AssertionError("pointwise fallback ran under the enumeration limit")
-
     for reached, rl, rf, lm, fm in _partially_reached_games(k_l):
         ev = PayoffEvaluator(make_simple_game(rl, rf, lm, fm))
-        cands = list(solvers._leader_candidates(ev, no_fallback))
+        cands = list(solvers._leader_candidates(ev))
         assert len(cands) == 1 + k_l + k_l ** len(reached)
         maps = [c.counterfactual_map for c in cands if c.layer == "L3"]
         assert maps == sorted(maps)
 
-    # One reached map more than the limit allows: the pointwise map only.
+    # One reached map more than the limit allows: a search that includes
+    # L3 is refused, one over L2 alone is not.
     monkeypatch.setattr(solvers, "L3_ENUM_LIMIT", k_l ** len(reached) - 1)
-    n = len(ev.joints)
-    policy = lambda x: solvers._stage2(ev, "L2", np.full(n, x, dtype=int))
-    cands = list(solvers._leader_candidates(ev, policy))
-    assert len(cands) == 1 + k_l + 1
-    assert cands[-1].layer == "L3"
+    with pytest.raises(TooLarge, match="L3_ENUM_LIMIT"):
+        list(solvers._leader_candidates(ev))
+    assert list(solvers._leader_candidates(ev, ("L2",))) == [
+        LayeredStrategy("L2", action=a) for a in range(k_l)]
 
 
 def _l2_by_loop(ev, xl, w):
@@ -626,6 +645,22 @@ def test_leader_candidates_reach_the_best_of_all_strategies(k_l, leader_masses, 
         pol = FollowerPolicy({o: LayeredStrategy("L2", action=a)
                               for o, a in zip(obs, combo)})
         best_cands = max(ev.profile_value(c, pol)[0]
-                         for c in solvers._leader_candidates(ev, lambda x: pol))
+                         for c in solvers._leader_candidates(ev))
         best_all = max(ev.profile_value(c, pol)[0] for c in all_leader_strategies(k_l))
         assert best_cands == pytest.approx(best_all, abs=1e-12)
+
+
+# --- refusal above the leader map limit ----------------------------------------
+
+
+def test_solvers_refuse_more_leader_maps_than_the_limit():
+    # Six leader actions, five reached instinct values: 6**5 = 7,776 maps.
+    game = six_action_game()
+    for solve in (exact_scne, lambda g: approx_scne(g, 0.1, seed=0),
+                  lambda g: satisficing_scne(g, 0.0)):
+        with pytest.raises(TooLarge, match=r"7776 .*L3_ENUM_LIMIT=4096"):
+            solve(game)
+    classical = classical_stackelberg(game)
+    assert classical.leader.layer == "L2"
+    with pytest.raises(TooLarge):
+        trembling_hand_check(game, classical)
