@@ -66,8 +66,6 @@ CSV_COLUMNS = (
     "pareto_improved", "leader_layer", "t_exact_s", "t_approx_s", "approx_error",
 )
 
-TIMING_COLUMNS = ("t_exact_s", "t_approx_s")
-
 
 @dataclass(frozen=True)
 class InstanceResult:
@@ -223,6 +221,16 @@ def _mc_instance(args) -> InstanceResult:
     game_seed = int(rng.integers(2 ** 62))
     approx_seed = int(rng.integers(2 ** 62))
     params = _draw_params(grid, rng, game_seed)
+    drawn = dict(
+        instance_id=idx,
+        seed=game_seed,
+        topology=params.topology,
+        nxl=params.n_leader_actions,
+        nxf=params.n_follower_actions,
+        info=info_token(params.info),
+        payoff_dist=params.payoff_dist,
+        instinct_quality=params.instinct_quality,
+    )
     try:
         game = random_instance(params)
         scne, compared = _solve_and_compare(game, approx_epsilon, approx_seed)
@@ -235,24 +243,10 @@ def _mc_instance(args) -> InstanceResult:
                 g = random_instance(replace(params, info=InformationStructure(kind)))
                 pair[kind] = (g, exact_scne(g))
         invariant = _compare(*pair[PERFECT], *pair[MECHANISM])
-        return InstanceResult(
-            instance_id=idx,
-            seed=game_seed,
-            topology=params.topology,
-            nxl=params.n_leader_actions,
-            nxf=params.n_follower_actions,
-            info=info_token(params.info),
-            payoff_dist=params.payoff_dist,
-            instinct_quality=params.instinct_quality,
-            **compared,
-            info_invariant=invariant,
-        )
+        return InstanceResult(**drawn, **compared, info_invariant=invariant)
     except ScmasError as exc:  # recorded per instance, the run continues
         return InstanceResult(
-            instance_id=idx, seed=game_seed, topology=params.topology,
-            nxl=params.n_leader_actions, nxf=params.n_follower_actions,
-            info=info_token(params.info), payoff_dist=params.payoff_dist,
-            instinct_quality=params.instinct_quality,
+            **drawn,
             scne_welfare=float("nan"), classical_welfare=float("nan"),
             welfare_delta=float("nan"), pareto_improved=False, leader_layer="L2",
             t_exact_s=0.0, t_approx_s=0.0, approx_error=None,
@@ -494,14 +488,10 @@ def _round9(obj):
     return obj
 
 
-def row_to_dict(row: InstanceResult) -> dict:
-    return asdict(row)
-
-
 def report_to_json(report: ExperimentReport) -> str:
     payload = {
         "config": report.config,
-        "rows": [row_to_dict(r) for r in report.rows],
+        "rows": [asdict(r) for r in report.rows],
         "aggregate": report.aggregate,
     }
     return json.dumps(_round9(payload), indent=2, sort_keys=True) + "\n"

@@ -9,6 +9,7 @@ forces an action, L3 observes the natural value and maps it to an action.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -242,6 +243,14 @@ def observe(game: ScmasGame, leader_layer: str, x_l: int, noise_seed: int = 0) -
     return Observation(s, None)
 
 
+def observations(game: ScmasGame) -> list[Observation]:
+    """Every observation the information structure can produce."""
+    k_l = len(game.leader_support)
+    if game.info.kind == MECHANISM:
+        return [Observation(x, lay) for lay in LAYERS for x in range(k_l)]
+    return [Observation(x, None) for x in range(k_l)]
+
+
 class PayoffEvaluator:
     """Expectation engine over a weighted set of exogenous assignments.
 
@@ -250,11 +259,15 @@ class PayoffEvaluator:
     the same code path. Also precomputes the natural action of each agent per
     assignment: the leader's under no intervention, the follower's under each
     possible leader action (the follower's mechanism may react to it).
+
+    One observation model serves every information structure: `signal[x, s]`
+    is the probability of action signal s given realized action x (the
+    identity unless information is imperfect), and `reveals_layer` says
+    whether the follower also sees the leader's layer. Payoff sums read it
+    forward (`channel`), the follower's posteriors backward.
     """
 
-    def __init__(self, game: ScmasGame, *, joints=None, weights=None,
-                 precomputed=None):
-        self.game = game
+    def __init__(self, game: ScmasGame, *, joints=None, weights=None):
         scm = game.scm
         if joints is None:
             pairs = enumerate_exogenous(scm)
@@ -269,33 +282,30 @@ class PayoffEvaluator:
         self.RL, self.RF = game.reward_arrays()
 
         xl, xf = game.leader_action, game.follower_action
-        if precomputed is not None:
-            self.i_leader, self.i_follower = precomputed
-        else:
-            run_nat = compiled_evaluate(scm, ())
-            run_do = compiled_evaluate(scm, (xl,))
-            self.i_leader = np.array(
-                [run_nat(u, {})[xl] for u in joints], dtype=int
-            )
-            self.i_follower = np.array(
-                [[run_do(u, {xl: x})[xf] for x in range(self.k_l)] for u in joints],
-                dtype=int,
-            )
-        self.signal = (
-            signal_matrix(self.k_l, game.info.sigma)
-            if game.info.kind == IMPERFECT
-            else None
+        run_nat = compiled_evaluate(scm, ())
+        run_do = compiled_evaluate(scm, (xl,))
+        self.i_leader = np.array(
+            [run_nat(u, {})[xl] for u in joints], dtype=int
         )
+        self.i_follower = np.array(
+            [[run_do(u, {xl: x})[xf] for x in range(self.k_l)] for u in joints],
+            dtype=int,
+        )
+        self.signal = signal_matrix(self.k_l, game.info.sigma)
+        self.reveals_layer = game.info.kind == MECHANISM
+        self.observations = observations(game)
 
     def restricted_to(self, joints, indices) -> "PayoffEvaluator":
-        """Empirical evaluator over sampled joints, reusing precomputed rows."""
+        """Empirical evaluator over sampled joints, where joints[j] is this
+        evaluator's joint indices[j]: a copy with uniform weights whose
+        natural-action rows are taken from this one."""
         idx = np.asarray(indices, dtype=int)
-        return PayoffEvaluator(
-            self.game,
-            joints=joints,
-            weights=np.full(len(joints), 1.0 / len(joints)),
-            precomputed=(self.i_leader[idx], self.i_follower[idx]),
-        )
+        ev = copy.copy(self)
+        ev.joints = joints
+        ev.weights = np.full(len(joints), 1.0 / len(joints))
+        ev.i_leader = self.i_leader[idx]
+        ev.i_follower = self.i_follower[idx]
+        return ev
 
     def leader_actions(self, leader: LayeredStrategy) -> np.ndarray:
         """Realized leader action per assignment."""
@@ -319,16 +329,13 @@ class PayoffEvaluator:
 
     def channel(self, x: int, leader_layer: str) -> list:
         """The observations the leader's realized action x produces, each
-        with its probability: every signal of positive mass under imperfect
-        information, else x itself, with the layer under mechanism
-        information."""
-        kind = self.game.info.kind
-        if kind == IMPERFECT:
-            return [(Observation(s, None), p)
-                    for s, p in enumerate(self.signal[x]) if p > 0.0]
-        return [(Observation(x, leader_layer if kind == MECHANISM else None), 1.0)]
+        with its probability: every signal of positive mass in row x of
+        `signal`, with the layer when the follower sees it."""
+        layer = leader_layer if self.reveals_layer else None
+        return [(Observation(s, layer), p)
+                for s, p in enumerate(self.signal[x]) if p > 0.0]
 
-    def _group_value(self, idx: np.ndarray, x: int, strat, scale: float = 1.0):
+    def _group_value(self, idx: np.ndarray, x: int, strat, scale: float):
         w = self.weights[idx] * scale
         if isinstance(strat, MixedResponse):
             el = sum(p * self.RL[x, a] for a, p in enumerate(strat.weights) if p)
@@ -351,7 +358,7 @@ class PayoffEvaluator:
             if idx.size == 0:
                 continue
             for obs, p in self.channel(x, leader_layer):
-                dl, df = self._group_value(idx, x, policy.response(obs), scale=p)
+                dl, df = self._group_value(idx, x, policy.response(obs), p)
                 el += dl
                 ef += df
         return el, ef

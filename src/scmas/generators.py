@@ -211,8 +211,7 @@ def _decoration(topology: str):
 
 def build_instance(n_leader_actions: int, n_follower_actions: int, topology: str,
                    info: InformationStructure, payoff_dist: str,
-                   instinct_quality: float, seed: int,
-                   meta: dict | None = None) -> ScmasGame:
+                   instinct_quality: float, seed: int) -> ScmasGame:
     """Assemble one random game; no bounds on the action counts (the public
     `random_instance` enforces the documented parameter ranges)."""
     k_l, k_f = n_leader_actions, n_follower_actions
@@ -263,7 +262,7 @@ def build_instance(n_leader_actions: int, n_follower_actions: int, topology: str
         action_nodes=("XL", "XF"),
         order=order,
     )
-    base_meta = {
+    meta = {
         "name": f"random-{topology}-{seed}",
         "seed": seed,
         "generator": {
@@ -279,15 +278,13 @@ def build_instance(n_leader_actions: int, n_follower_actions: int, topology: str
         },
         "instinct_quality": instinct_quality,
     }
-    if meta:
-        base_meta.update(meta)
     return ScmasGame(
         scm=scm,
         leader_action="XL",
         follower_action="XF",
         rewards=_pack_rewards(rl, rf),
         info=info,
-        meta=base_meta,
+        meta=meta,
     )
 
 
@@ -319,18 +316,17 @@ def _binned_instinct(var_id: str, masses) -> tuple[ExogenousVar, list[int]]:
 
 
 def _two_agent_scm(leader_masses, follower_masses, k_l, k_f,
-                   follower_reciprocates=False,
-                   reciprocate_bins=8) -> Scm:
+                   follower_reciprocates=False) -> Scm:
     ul, l_map = _binned_instinct("UL", leader_masses)
     if follower_reciprocates:
         # Follower's mechanism reacts to the leader's realized action:
-        # copy it on most bins, flip it on the rest.
+        # copy it on 8 of the 10 bins, flip it on the other 2.
         uf = ExogenousVar("UF", contiguous(INSTINCT_BINS),
                           (1.0 / INSTINCT_BINS,) * INSTINCT_BINS)
         xf_eq = StructuralEquation(
             "XF", ("XL", "UF"),
             table_from_fn([k_l, INSTINCT_BINS],
-                          lambda x, u: x if u < reciprocate_bins else 1 - x),
+                          lambda x, u: x if u < 8 else 1 - x),
         )
     else:
         uf, f_map = _binned_instinct("UF", follower_masses)

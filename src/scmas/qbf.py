@@ -198,16 +198,16 @@ def verify_reduction(f: Qbf) -> bool:
     return truth == (profile.leader_payoff == 1.0)
 
 
-def exhaustive_family(n_clauses_max: int = 2):
+def exhaustive_family():
     """Every formula with one existential and one universal variable and at
-    most n_clauses_max clauses (clause sets, no duplicates)."""
+    most two clauses (clause sets, no duplicates)."""
     literals = (1, -1, 2, -2)
     clauses = []
     for r in range(1, len(literals) + 1):
         for combo in itertools.combinations(literals, r):
             clauses.append(tuple(combo))
     out = [Qbf((1,), (2,), ())]
-    for r in range(1, n_clauses_max + 1):
+    for r in (1, 2):
         for subset in itertools.combinations(clauses, r):
             out.append(Qbf((1,), (2,), subset))
     return out

@@ -16,9 +16,10 @@ That visits the lexicographically first map of each class in the order of a
 full enumeration, so the tie-break is unchanged. Stage-2 responses and
 payoffs are cached per realized action process; the leader's layer is part
 of that key only under mechanism information, the one structure in which the
-follower observes it. What the follower observes of a realized leader action
-is `PayoffEvaluator.channel`, the one place that reads the information
-structure when payoffs are summed.
+follower observes it. What the follower observes is one signal matrix per
+evaluator (`PayoffEvaluator.signal`, the identity unless information is
+imperfect): payoff sums read it forward through `PayoffEvaluator.channel`,
+and the follower's posteriors read it backward by Bayes' rule.
 
 Every search for the leader's best reply is `_best_leader`: against the
 follower's best response (exact, classical, approx) or against one fixed
@@ -51,7 +52,6 @@ from .errors import (
     TypeSetTooSmall,
 )
 from .game import (
-    IMPERFECT,
     L1,
     L2,
     L3,
@@ -63,6 +63,7 @@ from .game import (
     Observation,
     PayoffEvaluator,
     ScmasGame,
+    observations,  # noqa: F401  (re-exported)
 )
 from .scm import sample_exogenous
 
@@ -122,36 +123,21 @@ class EquilibriumProfile:
             raise ValueError("welfare must equal the payoff sum")
 
 
-def observations(game: ScmasGame) -> list[Observation]:
-    """Every observation the information structure can produce."""
-    k_l = len(game.leader_support)
-    if game.info.kind == MECHANISM:
-        return [Observation(x, lay) for lay in LAYERS for x in range(k_l)]
-    return [Observation(x, None) for x in range(k_l)]
-
-
 def _posterior(ev: PayoffEvaluator, obs: Observation,
                leader_layer: str | None, leader_xl: np.ndarray | None):
     """Joint weights and per-joint leader actions conditioned on an observation.
 
     With a leader action process (layer, realized-action array), conditions
-    on the event that it produced this observation (Bayes over the noise
-    channel when imperfect). Off-path or without a leader process, the
-    follower takes the action signal at face value and keeps its prior over
-    the exogenous space.
+    on the event that it produced this observation: Bayes over the signal
+    matrix. Off-path, when the observation carries another layer, or
+    without a leader process, the follower takes the action signal at face
+    value and keeps its prior over the exogenous space.
     """
-    n = len(ev.joints)
-    face_value = np.full(n, obs.action_signal, dtype=int)
+    face_value = np.full(len(ev.joints), obs.action_signal, dtype=int)
     prior = ev.weights / ev.weights.sum()
-    if leader_xl is None:
+    if leader_xl is None or obs.layer_signal not in (None, leader_layer):
         return face_value, prior
-
-    kind = ev.game.info.kind
-    if kind == IMPERFECT:
-        w = ev.weights * ev.signal[leader_xl, obs.action_signal]
-    else:
-        on_path = obs.layer_signal is None or obs.layer_signal == leader_layer
-        w = ev.weights * (leader_xl == obs.action_signal) if on_path else np.zeros(n)
+    w = ev.weights * ev.signal[leader_xl, obs.action_signal]
     total = w.sum()
     if total <= 0.0:
         return face_value, prior
@@ -215,7 +201,7 @@ def _policy(ev: PayoffEvaluator, answer, leader_layer: str | None,
     at its posterior (`_posterior`) under the leader action process."""
     return FollowerPolicy({
         obs: answer(*_posterior(ev, obs, leader_layer, leader_xl))
-        for obs in observations(ev.game)
+        for obs in ev.observations
     })
 
 
@@ -269,7 +255,7 @@ def _process_key(ev: PayoffEvaluator, layer: str, xl: np.ndarray):
     """Cache key of a leader action process: the realized-action array, plus
     the layer under mechanism information, the only structure that reveals
     it to the follower."""
-    return (layer if ev.game.info.kind == MECHANISM else None, xl.tobytes())
+    return (layer if ev.reveals_layer else None, xl.tobytes())
 
 
 def _best_leader(ev: PayoffEvaluator, respond, leader_layers=LAYERS):
@@ -482,7 +468,7 @@ def forward_induction_filter(games: list[ScmasGame],
         return []
 
     evs = [PayoffEvaluator(g) for g in games]
-    obs_list = observations(games[0])
+    obs_list = evs[0].observations
     k_f = len(games[0].follower_support)
     n_maps = k_f ** len(obs_list)
     if n_maps > FORWARD_INDUCTION_MAP_LIMIT:

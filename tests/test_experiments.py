@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from scmas.errors import NoPureEquilibrium, TypeMismatch, TypeSetTooSmall
+from scmas import experiments
+from scmas.errors import NoPureEquilibrium, TooLarge, TypeMismatch, TypeSetTooSmall
 from scmas.experiments import (
     CSV_COLUMNS,
     _realized_play,
@@ -75,6 +76,36 @@ def test_monte_carlo_shape_and_zero_improvement():
     assert report.aggregate["max_abs_welfare_delta"] <= 1e-9
     assert report.aggregate["info_structure_sensitivity"]["fraction_identical"] == 1.0
     assert all(r.error is None for r in report.rows)
+
+
+DRAWN_FIELDS = ("instance_id", "seed", "topology", "nxl", "nxf", "info",
+                "payoff_dist", "instinct_quality")
+
+
+def test_monte_carlo_records_a_library_error_and_propagates_a_bug(monkeypatch):
+    clean = run_monte_carlo(4, seed=5)
+    target = clean.rows[1].seed
+
+    def refuse_one(game, **kw):
+        if game.meta["seed"] == target:
+            raise TooLarge("refused for the test")
+        return exact_scne(game, **kw)
+
+    monkeypatch.setattr(experiments, "exact_scne", refuse_one)
+    report = run_monte_carlo(4, seed=5)
+    row = report.rows[1]
+    assert row.error == "TooLarge: refused for the test"
+    for name in DRAWN_FIELDS:
+        assert getattr(row, name) == getattr(clean.rows[1], name)
+    assert all(np.isnan([row.scne_welfare, row.classical_welfare, row.welfare_delta]))
+    assert report.aggregate["n_solved"] == len(report.rows) - 1 == 3
+
+    def crash(game, **kw):
+        raise RuntimeError("solver bug")
+
+    monkeypatch.setattr(experiments, "exact_scne", crash)
+    with pytest.raises(RuntimeError, match="solver bug"):
+        run_monte_carlo(2, seed=5)
 
 
 def test_monte_carlo_requires_positive_count():

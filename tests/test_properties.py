@@ -47,13 +47,50 @@ def small_games(draw):
                      rewards=rewards, info=info)
 
 
-# No claim that classical <= exact: when the follower is indifferent, the
-# L1-first tie-break can leave the leader worse off than under classical.
-@settings(derandomize=True, deadline=None, max_examples=100)
-@given(small_games())
-def test_exact_matches_oracle_on_arbitrary_small_games(game):
+@st.composite
+def instinct_follower_games(draw):
+    """Games where the leader's L3 layer can matter: k_L = 3, both instincts
+    read only U, and every follower reward is 0, so the follower plays its
+    instinct and the leader gains by conditioning its action on its own
+    instinct, which carries information about the follower's."""
+    k_f, n_u = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    w = draw(st.lists(st.integers(0, 4), min_size=n_u, max_size=n_u).filter(any))
+    scm = Scm(
+        exogenous=(ExogenousVar("U", contiguous(n_u), tuple(x / sum(w) for x in w)),),
+        endogenous=(EndogenousVar("XL", contiguous(3)),
+                    EndogenousVar("XF", contiguous(k_f))),
+        equations=(
+            StructuralEquation("XL", ("U",), tuple(
+                draw(st.integers(0, 2)) for _ in range(n_u))),
+            StructuralEquation("XF", ("U",), tuple(
+                draw(st.integers(0, k_f - 1)) for _ in range(n_u))),
+        ),
+        action_nodes=("XL", "XF"),
+    )
+    rewards = tuple(tuple((draw(st.integers(0, 5)), 0) for _ in range(k_f))
+                    for _ in range(3))
+    info = InformationStructure(draw(st.sampled_from((PERFECT, MECHANISM))))
+    return ScmasGame(scm=scm, leader_action="XL", follower_action="XF",
+                     rewards=rewards, info=info)
+
+
+def _assert_matches_oracle(game):
     assert validate(game) == []
     prof = exact_scne(game)
     _, _, oracle_leader_payoff, _ = oracle_backward_induction(game)
     assert abs(prof.leader_payoff - oracle_leader_payoff) <= 1e-9
     assert_no_profitable_deviation(game, prof, tol=1e-9)
+
+
+# No claim that classical <= exact: when the follower is indifferent, the
+# L1-first tie-break can leave the leader worse off than under classical.
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(small_games())
+def test_exact_matches_oracle_on_arbitrary_small_games(game):
+    _assert_matches_oracle(game)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(instinct_follower_games())
+def test_exact_matches_oracle_where_the_leader_l3_layer_matters(game):
+    _assert_matches_oracle(game)

@@ -20,6 +20,7 @@ from scmas.game import (
     Observation,
     PayoffEvaluator,
     expected_payoffs,
+    signal_matrix,
 )
 from scmas.generators import (
     GeneratorParams,
@@ -664,3 +665,79 @@ def test_solvers_refuse_more_leader_maps_than_the_limit():
     assert classical.leader.layer == "L2"
     with pytest.raises(TooLarge):
         trembling_hand_check(game, classical)
+
+
+# --- one observation model for every information structure ---------------------
+
+
+@pytest.mark.parametrize("info", [
+    InformationStructure("perfect"),
+    InformationStructure("mechanism"),
+    InformationStructure("imperfect", 0.0),
+    InformationStructure("imperfect", 0.5),
+    InformationStructure("imperfect", 1.0),
+])
+def test_signal_matrix_reproduces_the_per_kind_observation_formulas(info):
+    # The posterior and the channel read one signal matrix for every kind;
+    # they must give bit for bit what a branch per kind gave.
+    kind, k_l = info.kind, 4
+    channel_matrix = signal_matrix(k_l, info.sigma)
+
+    def per_kind_posterior(ev, obs, leader_layer, leader_xl):
+        n = len(ev.joints)
+        face_value = np.full(n, obs.action_signal, dtype=int)
+        prior = ev.weights / ev.weights.sum()
+        if leader_xl is None:
+            return face_value, prior
+        if kind == "imperfect":
+            w = ev.weights * channel_matrix[leader_xl, obs.action_signal]
+        else:
+            on_path = obs.layer_signal is None or obs.layer_signal == leader_layer
+            w = ev.weights * (leader_xl == obs.action_signal) if on_path else np.zeros(n)
+        total = w.sum()
+        if total <= 0.0:
+            return face_value, prior
+        return leader_xl, w / total
+
+    def per_kind_channel(x, leader_layer):
+        if kind == "imperfect":
+            return [(Observation(s, None), p)
+                    for s, p in enumerate(channel_matrix[x]) if p > 0.0]
+        return [(Observation(x, leader_layer if kind == "mechanism" else None), 1.0)]
+
+    rng = np.random.default_rng(5)
+    game = make_simple_game(rng.integers(0, 6, size=(k_l, 3)).tolist(),
+                            rng.integers(0, 6, size=(k_l, 3)).tolist(),
+                            (0.3, 0.0, 0.7, 0.0), (0.2, 0.5, 0.3), info=info,
+                            correlated=True)
+    full = PayoffEvaluator(game)
+    n = len(full.joints)
+    sparse = PayoffEvaluator(game, joints=full.joints,
+                             weights=full.weights * (rng.random(n) < 0.3))
+    for ev in (full, sparse):
+        assert ev.observations == observations(game)
+        processes = [ev.leader_actions(LayeredStrategy("L1")),
+                     ev.leader_actions(LayeredStrategy("L3", counterfactual_map=(3, 0, 1, 1))),
+                     rng.integers(0, k_l, size=n),
+                     rng.choice([0, 2], size=n)]  # signals 1 and 3 have no mass
+        for layer, xl in itertools.product(("L1", "L2", "L3"), processes):
+            for obs in ev.observations:  # mechanism: every off-path layer too
+                for args in ((layer, xl), (None, None)):
+                    got = solvers._posterior(ev, obs, *args)
+                    want = per_kind_posterior(ev, obs, *args)
+                    assert np.array_equal(got[0], want[0])
+                    assert np.array_equal(got[1], want[1])
+            for x in range(k_l):
+                got, want = ev.channel(x, layer), per_kind_channel(x, layer)
+                assert [o for o, _ in got] == [o for o, _ in want]
+                assert np.array_equal([p for _, p in got], [p for _, p in want])
+
+    idx = rng.integers(0, n, size=40)
+    sample = [full.joints[i] for i in idx]
+    restricted = full.restricted_to(sample, idx)
+    fresh = PayoffEvaluator(game, joints=sample, weights=np.full(40, 1 / 40))
+    for name in ("weights", "i_leader", "i_follower", "signal"):
+        assert np.array_equal(getattr(restricted, name), getattr(fresh, name))
+    assert restricted.joints == fresh.joints
+    assert restricted.observations == fresh.observations
+    assert restricted.reveals_layer == fresh.reveals_layer
