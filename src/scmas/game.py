@@ -34,6 +34,11 @@ PERFECT = "perfect"
 MECHANISM = "mechanism"
 IMPERFECT = "imperfect"
 
+# Two values tie when they differ by at most TIE_TOL times the largest
+# |reward| of the agent comparing them (`PayoffEvaluator.leader_tol`,
+# `follower_tol`), so summation order never decides a choice.
+TIE_TOL = 1e-9
+
 # Discretization of the additive Gaussian signal channel.
 NOISE_GRID_POINTS = 17
 NOISE_GRID_SPAN = 4.0
@@ -265,6 +270,9 @@ class PayoffEvaluator:
     identity unless information is imperfect), and `reveals_layer` says
     whether the follower also sees the leader's layer. Payoff sums read it
     forward (`channel`), the follower's posteriors backward.
+
+    `leader_tol` and `follower_tol` are the tie tolerances of the two agents'
+    comparisons (TIE_TOL times the largest |reward| in their table).
     """
 
     def __init__(self, game: ScmasGame, *, joints=None, weights=None):
@@ -280,6 +288,8 @@ class PayoffEvaluator:
         self.k_l = len(game.leader_support)
         self.k_f = len(game.follower_support)
         self.RL, self.RF = game.reward_arrays()
+        self.leader_tol = TIE_TOL * float(np.abs(self.RL).max(initial=0.0))
+        self.follower_tol = TIE_TOL * float(np.abs(self.RF).max(initial=0.0))
 
         xl, xf = game.leader_action, game.follower_action
         run_nat = compiled_evaluate(scm, ())
@@ -295,16 +305,23 @@ class PayoffEvaluator:
         self.reveals_layer = game.info.kind == MECHANISM
         self.observations = observations(game)
 
-    def restricted_to(self, joints, indices) -> "PayoffEvaluator":
-        """Empirical evaluator over sampled joints, where joints[j] is this
-        evaluator's joint indices[j]: a copy with uniform weights whose
-        natural-action rows are taken from this one."""
-        idx = np.asarray(indices, dtype=int)
+    def merged(self) -> "PayoffEvaluator":
+        """The same measure over response types (Balke & Pearl): one row per
+        distinct (leader instinct, follower instinct row) pair, carrying the
+        summed weight of its assignments and represented by the first of
+        them. Payoffs depend on an assignment only through that pair, so
+        every value on this view equals the full view's up to summation
+        order. Types of zero weight are kept, so two leader strategies
+        realize the same actions on this view exactly when they do on the
+        full one."""
+        rows = np.column_stack((self.i_leader, self.i_follower))
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         ev = copy.copy(self)
-        ev.joints = joints
-        ev.weights = np.full(len(joints), 1.0 / len(joints))
-        ev.i_leader = self.i_leader[idx]
-        ev.i_follower = self.i_follower[idx]
+        ev.joints = [self.joints[j] for j in first]
+        ev.weights = np.bincount(inverse, weights=self.weights, minlength=len(first))
+        ev.i_leader = self.i_leader[first]
+        ev.i_follower = self.i_follower[first]
         return ev
 
     def leader_actions(self, leader: LayeredStrategy) -> np.ndarray:

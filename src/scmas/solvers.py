@@ -4,9 +4,16 @@ Stage 2 computes, for a candidate leader strategy, the follower's best
 response at every observation (maximized over the follower's own layers);
 stage 1 then maximizes the leader's exact expected reward over all layer and
 within-layer choices. Ties are broken by layer preference L1 > L2 > L3, then
-lowest action index, then lexicographically smallest counterfactual map;
-candidates are visited in exactly that order and replaced only on a strict
-improvement, so the tie-break is structural rather than tolerance-based.
+lowest action index, then lexicographically smallest counterfactual map:
+every leader and follower choice is the first candidate in that order whose
+value is within the agent's tie tolerance of the best value (TIE_TOL times
+the largest |reward| of the agent, `_first_argmax`), so summation order
+never decides a tie.
+
+Both stages run on response types (`PayoffEvaluator.merged`): assignments
+with the same leader instinct and the same follower instinct row are one
+row, since payoffs depend on nothing else. The reported payoffs are summed
+over every assignment of the measure.
 
 Stage 1 searches leader action processes rather than leader strategies.
 Counterfactual maps that differ only on instinct values of zero mass realize
@@ -37,6 +44,7 @@ cap: the `action_cap` argument, else SCMAS_EXACT_CAP, else 8.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import os
@@ -69,7 +77,8 @@ from .scm import sample_exogenous
 
 DEFAULT_ACTION_CAP = 8
 # The most leader L3 maps over the reached instinct values that stage 1
-# enumerates; above it the search raises TooLarge.
+# enumerates, and the most follower response maps that forward induction
+# enumerates; above it both raise TooLarge.
 L3_ENUM_LIMIT = 4096
 
 SAMPLE_CONSTANT = 0.5
@@ -149,19 +158,19 @@ def _follower_value(ev: PayoffEvaluator, xl: np.ndarray, w: np.ndarray, xf: np.n
 
 
 def _action_values(ev: PayoffEvaluator, xl: np.ndarray, w: np.ndarray) -> list[float]:
-    """The follower's value of each deliberate (L2) action at a posterior.
-
-    Each value is one np.dot over a contiguous row, bit for bit the value
-    `_follower_value` gives the constant action array, so a constant L3 map
-    ties its L2 action exactly.
-    """
+    """The follower's value of each deliberate (L2) action at a posterior:
+    one np.dot per action over a contiguous row of RF[xl].T."""
     rows = np.ascontiguousarray(ev.RF[xl].T)
     return [float(np.dot(w, rows[a])) for a in range(ev.k_f)]
 
 
-def _first_argmax(values: list[float]) -> int:
-    """Index of the first maximum: the lowest action wins ties."""
-    return max(range(len(values)), key=values.__getitem__)
+def _first_argmax(values: list[float], tol: float) -> int:
+    """Index of the first value within tol of the maximum: the earliest
+    candidate wins ties, whatever order the values were summed in."""
+    floor = max(values) - tol
+    for i, v in enumerate(values):
+        if v >= floor:
+            return i
 
 
 def _best_in_layer(ev: PayoffEvaluator, xl: np.ndarray, w: np.ndarray, layer: str):
@@ -169,30 +178,27 @@ def _best_in_layer(ev: PayoffEvaluator, xl: np.ndarray, w: np.ndarray, layer: st
     lowest action index / lexicographically smallest map."""
     if layer == L2:
         vals = _action_values(ev, xl, w)
-        best_a = _first_argmax(vals)
+        best_a = _first_argmax(vals, ev.follower_tol)
         return vals[best_a], LayeredStrategy(L2, action=best_a)
     instincts = ev.i_follower[np.arange(len(ev.joints)), xl]
     if layer == L1:
         strat = LayeredStrategy(L1)
         return _follower_value(ev, xl, w, instincts), strat
     # L3: the objective is additive across instinct values, so the optimal
-    # map is read off one (instinct x action) table. argmax takes the lowest
-    # action on ties, which gives the lexicographically smallest optimal map;
-    # an instinct value of no weight maps to action 0.
+    # map is read off one (instinct x action) table. Each row takes its first
+    # action within the tie tolerance of the row's best, which gives the
+    # lexicographically smallest optimal map; an instinct value of no weight
+    # maps to action 0.
     table = np.zeros((ev.k_f, ev.k_f))
     np.add.at(table, instincts, w[:, None] * ev.RF[xl])
-    cmap = table.argmax(axis=1)
+    cmap = (table >= table.max(axis=1, keepdims=True) - ev.follower_tol).argmax(axis=1)
     strat = LayeredStrategy(L3, counterfactual_map=cmap)
     return _follower_value(ev, xl, w, cmap[instincts]), strat
 
 
 def _best_follower_at(ev, xl, w, layers=LAYERS):
-    best = None
-    for layer in layers:  # L1 > L2 > L3 on ties
-        v, strat = _best_in_layer(ev, xl, w, layer)
-        if best is None or v > best[0]:
-            best = (v, strat)
-    return best[1]
+    found = [_best_in_layer(ev, xl, w, layer) for layer in layers]  # L1 > L2 > L3 on ties
+    return found[_first_argmax([v for v, _ in found], ev.follower_tol)][1]
 
 
 def _policy(ev: PayoffEvaluator, answer, leader_layer: str | None,
@@ -263,12 +269,13 @@ def _best_leader(ev: PayoffEvaluator, respond, leader_layers=LAYERS):
     policy in force against each leader action process.
 
     Returns (leader payoff, follower payoff, follower policy, leader
-    strategy), replacing the incumbent only on a strict improvement.
-    Candidates inducing the same action process (`_process_key`) share one
-    response and one payoff pair, so both are cached on that key.
+    strategy) of the first candidate within the leader's tie tolerance of
+    the best payoff. Candidates inducing the same action process
+    (`_process_key`) share one response and one payoff pair, so both are
+    cached on that key.
     """
     cache: dict = {}
-    best = None
+    found = []
     for cand in _leader_candidates(ev, leader_layers):
         xl = ev.leader_actions(cand)
         key = _process_key(ev, cand.layer, xl)
@@ -276,20 +283,21 @@ def _best_leader(ev: PayoffEvaluator, respond, leader_layers=LAYERS):
         if hit is None:
             pol = respond(cand.layer, xl)
             hit = cache[key] = (*ev.value_from_actions(xl, cand.layer, pol), pol)
-        if best is None or hit[0] > best[0]:
-            best = (*hit, cand)
-    return best
+        found.append((*hit, cand))
+    return found[_first_argmax([f[0] for f in found], ev.leader_tol)]
 
 
 def _solve_backward(ev: PayoffEvaluator, follower_layers, method: SolveMethod,
                     payoff_ev: PayoffEvaluator | None = None,
                     leader_layers=LAYERS) -> EquilibriumProfile:
-    """Backward induction on an evaluator (exact or empirical measure)."""
-    el, ef, pol, cand = _best_leader(
-        ev, lambda layer, xl: _stage2(ev, layer, xl, follower_layers), leader_layers
+    """Backward induction on the response types of an evaluator's measure
+    (exact or empirical). The payoffs are reported on payoff_ev if given,
+    else on ev, summed over every assignment."""
+    types = ev.merged()
+    _, _, pol, cand = _best_leader(
+        types, lambda layer, xl: _stage2(types, layer, xl, follower_layers), leader_layers
     )
-    if payoff_ev is not None:
-        el, ef = payoff_ev.profile_value(cand, pol)
+    el, ef = (ev if payoff_ev is None else payoff_ev).profile_value(cand, pol)
     return EquilibriumProfile(
         leader=cand,
         follower=pol,
@@ -322,10 +330,11 @@ def approx_scne(game: ScmasGame, epsilon: float, seed: int) -> EquilibriumProfil
     """Sampling approximation: empirical best responses on N causal draws.
 
     N = ceil(c * eps^-2 * ln(max(|X_L|, |X_F|, 2))) with c = SAMPLE_CONSTANT.
-    The returned strategies come from the empirical comparison; the reported
-    payoffs are recomputed exactly when the exogenous space is enumerable, so
-    the profile invariant (payoffs reproducible from the stored strategies)
-    holds either way.
+    The returned strategies come from the empirical comparison. When the
+    exogenous space is enumerable, the empirical measure is the exact
+    evaluator reweighted by the draws' counts, and the reported payoffs are
+    exact, so the profile invariant (payoffs reproducible from the stored
+    strategies) holds either way.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -341,7 +350,8 @@ def approx_scne(game: ScmasGame, epsilon: float, seed: int) -> EquilibriumProfil
         ids = game.scm.exogenous_ids
         index = {tuple(u[k] for k in ids): j for j, u in enumerate(payoff_ev.joints)}
         idx = [index[tuple(u[k] for k in ids)] for u in joints]
-        ev = payoff_ev.restricted_to(joints, idx)
+        ev = copy.copy(payoff_ev)
+        ev.weights = np.bincount(idx, minlength=len(payoff_ev.joints)) / n
     else:
         ev = PayoffEvaluator(game, joints=joints, weights=np.full(n, 1.0 / n))
     method = SolveMethod("approx", epsilon=epsilon, seed=seed, n_samples=n)
@@ -394,7 +404,7 @@ def trembling_hand_check(game: ScmasGame, profile: EquilibriumProfile,
 
         def tremble(xl, w):
             weights = [eps] * ev.k_f
-            weights[_first_argmax(_action_values(ev, xl, w))] += extra
+            weights[_first_argmax(_action_values(ev, xl, w), ev.follower_tol)] += extra
             return MixedResponse(tuple(weights))
 
         pol = _policy(ev, tremble, profile.leader.layer, leader_xl)
@@ -404,8 +414,6 @@ def trembling_hand_check(game: ScmasGame, profile: EquilibriumProfile,
 
 
 # --- forward induction ------------------------------------------------------
-
-FORWARD_INDUCTION_MAP_LIMIT = 4096
 
 
 def _belief_posterior(ev: PayoffEvaluator, obs: Observation):
@@ -448,13 +456,15 @@ def forward_induction_filter(games: list[ScmasGame],
 
     A type is plausible at an off-path observation if some assignment of
     pure follower responses to observations makes the observed (layer,
-    action) choice weakly optimal for that type: its value is within 1e-12
-    of the type's best reply to those responses (`_best_leader`), whose L3
-    maps leave out only maps that differ on instinct values of zero mass and
-    so reach no other value. A profile
-    is removed when some off-path observation's stored response
-    best-responds to a belief pinned on an implausible type while no
-    plausible type rationalizes it.
+    action) choice weakly optimal for that type: its value is within the
+    leader's tie tolerance of the type's best reply to those responses
+    (`_best_leader`), whose L3 maps leave out only maps that differ on
+    instinct values of zero mass and so reach no other value. A response is
+    rationalized by a type when it is within the follower's tie tolerance of
+    the best action at the belief pinned on that type. A profile is removed
+    when some off-path observation's stored response best-responds to a
+    belief pinned on an implausible type while no plausible type
+    rationalizes it.
     """
     if len(games) < 2:
         raise TypeSetTooSmall("need at least two leader types")
@@ -471,8 +481,9 @@ def forward_induction_filter(games: list[ScmasGame],
     obs_list = evs[0].observations
     k_f = len(games[0].follower_support)
     n_maps = k_f ** len(obs_list)
-    if n_maps > FORWARD_INDUCTION_MAP_LIMIT:
-        raise TooLarge(f"{n_maps} follower response maps exceed the filter limit")
+    if n_maps > L3_ENUM_LIMIT:
+        raise TooLarge(
+            f"{n_maps} follower response maps exceed L3_ENUM_LIMIT={L3_ENUM_LIMIT}")
 
     response_maps = []
     for combo in itertools.product(range(k_f), repeat=len(obs_list)):
@@ -486,14 +497,15 @@ def forward_induction_filter(games: list[ScmasGame],
             return False
         for pol in response_maps:
             v_choice = evs[t].profile_value(choice, pol)[0]
-            if v_choice >= _best_leader(evs[t], lambda layer, xl: pol)[0] - 1e-12:
+            best = _best_leader(evs[t], lambda layer, xl: pol)[0]
+            if v_choice >= best - evs[t].leader_tol:
                 return True
         return False
 
     def rationalized(t: int, obs: Observation, strat) -> bool:
         xl, w = _belief_posterior(evs[t], obs)
         val = _response_value(evs[t], xl, w, strat)
-        return val >= max(_action_values(evs[t], xl, w)) - 1e-12
+        return val >= max(_action_values(evs[t], xl, w)) - evs[t].follower_tol
 
     kept = []
     for prof in profiles:

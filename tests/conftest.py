@@ -17,6 +17,7 @@ from scmas.game import (
     L2,
     L3,
     MECHANISM,
+    TIE_TOL,
     FollowerPolicy,
     InformationStructure,
     LayeredStrategy,
@@ -163,13 +164,23 @@ def oracle_profile_value(game, leader, policy):
     return total_l, total_f
 
 
+def first_within_tol(values, tol):
+    """The solvers' tie rule: the index of the first value within tol of the
+    maximum."""
+    top = max(values)
+    return next(i for i, v in enumerate(values) if v >= top - tol)
+
+
 def oracle_backward_induction(game):
     """Reference equilibrium: every follower map enumerated per observation,
-    every leader map enumerated, strict-improvement tie-break.
+    every leader map enumerated, each agent taking the first strategy within
+    TIE_TOL times its largest |reward| of its best value.
 
     Returns (leader strategy, policy, leader value, follower value).
     """
     assert game.info.kind != IMPERFECT
+    rl, rf = game.reward_arrays()
+    tol_l, tol_f = TIE_TOL * np.abs(rl).max(), TIE_TOL * np.abs(rf).max()
     k_l = len(game.leader_support)
     k_f = len(game.follower_support)
     joints = enumerate_exogenous(game.scm)
@@ -198,24 +209,22 @@ def oracle_backward_induction(game):
                     (joints[j][1], obs.action_signal, i_f[j][obs.action_signal])
                     for j in range(len(joints))
                 ]
-            best = None
-            for strat in all_follower_strategies(k_f):
-                v = math.fsum(
-                    p * game.rewards[x][resolve_action(strat, inst)][1]
-                    for p, x, inst in weighted
-                )
-                if best is None or v > best[0] + 1e-12:
-                    best = (v, strat)
-            responses[obs] = best[1]
+            mass = math.fsum(p for p, _, _ in weighted)
+            strats = list(all_follower_strategies(k_f))
+            values = [
+                math.fsum(p * game.rewards[x][resolve_action(strat, inst)][1]
+                          for p, x, inst in weighted) / mass
+                for strat in strats
+            ]
+            responses[obs] = strats[first_within_tol(values, tol_f)]
         return FollowerPolicy(responses)
 
-    best = None
+    found = []
     for leader in all_leader_strategies(k_l):
         pol = stage2(leader)
-        vl, vf = oracle_profile_value(game, leader, pol)
-        if best is None or vl > best[0] + 1e-12:
-            best = (vl, vf, leader, pol)
-    return best[2], best[3], best[0], best[1]
+        found.append((*oracle_profile_value(game, leader, pol), leader, pol))
+    vl, vf, leader, pol = found[first_within_tol([f[0] for f in found], tol_l)]
+    return leader, pol, vl, vf
 
 
 def assert_no_profitable_deviation(game, profile, tol=1e-9):

@@ -77,8 +77,9 @@ def instinct_follower_games(draw):
 def _assert_matches_oracle(game):
     assert validate(game) == []
     prof = exact_scne(game)
-    _, _, oracle_leader_payoff, _ = oracle_backward_induction(game)
+    oracle_leader, _, oracle_leader_payoff, _ = oracle_backward_induction(game)
     assert abs(prof.leader_payoff - oracle_leader_payoff) <= 1e-9
+    assert prof.leader == oracle_leader
     assert_no_profitable_deviation(game, prof, tol=1e-9)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from scmas.errors import (
     TypeSetTooSmall,
 )
 from scmas.game import (
+    LAYERS,
     FollowerPolicy,
     InformationStructure,
     LayeredStrategy,
@@ -23,6 +25,7 @@ from scmas.game import (
     signal_matrix,
 )
 from scmas.generators import (
+    TOPOLOGIES,
     GeneratorParams,
     build_instance,
     random_instance,
@@ -40,10 +43,12 @@ from scmas.solvers import (
     satisficing_scne,
     trembling_hand_check,
 )
+from scmas.scm import sample_exogenous
 from conftest import (
     all_follower_strategies,
     all_leader_strategies,
     assert_no_profitable_deviation,
+    first_within_tol,
     make_simple_game,
     oracle_backward_induction,
     oracle_profile_value,
@@ -433,9 +438,10 @@ def test_no_profitable_deviation_on_generated_games():
 
 def _reference_backward(game, leader_layers=("L1", "L2", "L3")):
     """Backward induction the unpruned way: every one of the k_L^k_L leader
-    maps, strict-improvement replacement, stage-2 cache keyed on the layer."""
+    maps on every assignment, the first one within the tie tolerance of the
+    best, stage-2 cache keyed on the layer."""
     ev = PayoffEvaluator(game)
-    cache, best = {}, None
+    cache, found = {}, []
     for cand in all_leader_strategies(ev.k_l):
         if cand.layer not in leader_layers:
             continue
@@ -444,10 +450,8 @@ def _reference_backward(game, leader_layers=("L1", "L2", "L3")):
         if key not in cache:
             pol = solvers._stage2(ev, cand.layer, xl)
             cache[key] = (*ev.value_from_actions(xl, cand.layer, pol), pol)
-        el, ef, pol = cache[key]
-        if best is None or el > best[0]:
-            best = (el, ef, cand, pol)
-    el, ef, cand, pol = best
+        found.append((*cache[key], cand))
+    el, ef, pol, cand = found[first_within_tol([f[0] for f in found], ev.leader_tol)]
     return profile_to_dict(EquilibriumProfile(
         cand, pol, el, ef, el + ef, solvers.SolveMethod("exact")))
 
@@ -677,7 +681,7 @@ def test_solvers_refuse_more_leader_maps_than_the_limit():
     InformationStructure("imperfect", 0.5),
     InformationStructure("imperfect", 1.0),
 ])
-def test_signal_matrix_reproduces_the_per_kind_observation_formulas(info):
+def test_signal_matrix_reproduces_the_per_kind_observation_formulas(info, monkeypatch):
     # The posterior and the channel read one signal matrix for every kind;
     # they must give bit for bit what a branch per kind gave.
     kind, k_l = info.kind, 4
@@ -732,12 +736,90 @@ def test_signal_matrix_reproduces_the_per_kind_observation_formulas(info):
                 assert [o for o, _ in got] == [o for o, _ in want]
                 assert np.array_equal([p for _, p in got], [p for _, p in want])
 
-    idx = rng.integers(0, n, size=40)
-    sample = [full.joints[i] for i in idx]
-    restricted = full.restricted_to(sample, idx)
-    fresh = PayoffEvaluator(game, joints=sample, weights=np.full(40, 1 / 40))
-    for name in ("weights", "i_leader", "i_follower", "signal"):
-        assert np.array_equal(getattr(restricted, name), getattr(fresh, name))
-    assert restricted.joints == fresh.joints
-    assert restricted.observations == fresh.observations
-    assert restricted.reveals_layer == fresh.reveals_layer
+    # approx searches the exact evaluator reweighted by the draws' counts,
+    # which on response types is the measure of the draws themselves.
+    searched = []
+
+    def record(ev, *args, **kwargs):
+        searched.append(ev)
+        return solve_backward(ev, *args, **kwargs)
+
+    solve_backward = solvers._solve_backward
+    monkeypatch.setattr(solvers, "_solve_backward", record)
+    prof = approx_scne(game, 0.1, seed=4)
+    n_draws = prof.method.n_samples
+    draws = sample_exogenous(game.scm, 4, n_draws)
+    idx = [full.joints.index(u) for u in draws]
+    (ev,) = searched
+    assert np.array_equal(ev.weights, np.bincount(idx, minlength=n) / n_draws)
+    for name in ("i_leader", "i_follower", "signal"):
+        assert np.array_equal(getattr(ev, name), getattr(full, name))
+    assert ev.joints == full.joints
+    assert ev.observations == full.observations
+    assert ev.reveals_layer == full.reveals_layer
+    drawn = PayoffEvaluator(game, joints=draws, weights=np.full(n_draws, 1 / n_draws))
+    types, drawn_types = ev.merged(), drawn.merged()
+    on = types.weights > 0
+    assert np.array_equal(types.i_leader[on], drawn_types.i_leader)
+    assert np.array_equal(types.i_follower[on], drawn_types.i_follower)
+    assert types.weights[on] == pytest.approx(drawn_types.weights, abs=1e-12)
+    on_draws = solve_backward(drawn, LAYERS, prof.method, payoff_ev=full)
+    assert profile_to_dict(prof) == profile_to_dict(on_draws)
+
+
+# --- ties and response types ---------------------------------------------------
+
+
+def test_exact_ties_break_by_layer_even_when_floats_differ_by_one_ulp():
+    # Leader actions 0 and 1 pay the same whatever the follower does, so L2
+    # action 0 and every L3 map into {0, 1} are worth the same in exact
+    # arithmetic. Summed in groups, the best of those maps comes out one ulp
+    # above L2 action 0, both over every assignment and over response types.
+    game = make_simple_game([[0.3, 0.3], [0.3, 0.3], [0.0, 0.0]], [[0, 0]] * 3,
+                            (0.1, 0.2, 0.7), (0.5, 0.5))
+    pol = FollowerPolicy({o: LayeredStrategy("L1") for o in observations(game)})
+    l2 = LayeredStrategy("L2", action=0)
+    maps = [LayeredStrategy("L3", counterfactual_map=m)
+            for m in itertools.product(range(2), repeat=3)]
+    full = PayoffEvaluator(game)
+    for ev in (full, full.merged()):
+        def exact_value(leader):
+            xl = ev.leader_actions(leader)
+            return sum(Fraction(w) * Fraction(ev.RL[x, 0]) for w, x in zip(ev.weights, xl))
+
+        assert {exact_value(m) for m in maps} == {exact_value(l2)}
+        v2 = ev.profile_value(l2, pol)[0]
+        assert max(ev.profile_value(m, pol)[0] for m in maps) == math.nextafter(v2, math.inf)
+    assert exact_scne(game).leader == l2
+
+
+def _every_topology_and_information():
+    infos = (InformationStructure("perfect"), InformationStructure("mechanism"),
+             InformationStructure("imperfect", 0.5))
+    for i, topology in enumerate(TOPOLOGIES):
+        for j, info in enumerate(infos):
+            yield random_instance(_params(nxl=3, nxf=3, topology=topology, info=info,
+                                          quality=(0.2, 0.8)[(i + j) % 2],
+                                          seed=500 + 3 * i + j))
+
+
+def test_merged_view_keeps_the_measure_on_distinct_response_types():
+    for game in _every_topology_and_information():
+        ev = PayoffEvaluator(game)
+        types = ev.merged()
+        rows = np.column_stack((types.i_leader, types.i_follower))
+        assert len(np.unique(rows, axis=0)) == len(rows) == len(types.weights)
+        assert types.weights.sum() == pytest.approx(ev.weights.sum(), abs=1e-12)
+        full_rows = [tuple(r) for r in np.column_stack((ev.i_leader, ev.i_follower))]
+        for r, w in zip(map(tuple, rows), types.weights):
+            assert w == pytest.approx(
+                sum(v for fr, v in zip(full_rows, ev.weights) if fr == r), abs=1e-12)
+
+
+def test_search_on_response_types_matches_the_search_on_every_assignment(monkeypatch):
+    solves = (exact_scne, classical_stackelberg, lambda g: approx_scne(g, 0.05, seed=2))
+    games = list(_every_topology_and_information())
+    merged = [[profile_to_dict(solve(g)) for solve in solves] for g in games]
+    monkeypatch.setattr(PayoffEvaluator, "merged", lambda self: self)
+    full = [[profile_to_dict(solve(g)) for solve in solves] for g in games]
+    assert merged == full
