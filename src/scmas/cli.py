@@ -17,6 +17,21 @@ from .errors import ParseError, ScmasError, UnsupportedAlternation
 from .game import game_from_dict, game_to_dict, validate
 
 
+def _checked(kind, ok, requirement: str):
+    """An argparse type: kind(text), rejected unless ok(value)."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "must be an integer >= 1")
+_positive_float = _checked(float, lambda v: v > 0, "must be > 0")
+
+
 def _write_out(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -143,22 +158,23 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("game", help="path to a game JSON file")
     s.add_argument("--method", choices=("exact", "classical", "approx", "satisficing"),
                    default="exact")
-    s.add_argument("--epsilon", type=float, default=0.05,
+    s.add_argument("--epsilon", type=_positive_float, default=0.05,
                    help="approximation precision (approx method, default 0.05)")
     s.add_argument("--seed", type=int, default=0, help="sampling seed (approx method)")
-    s.add_argument("--eps-sat", dest="eps_sat", type=float, default=0.0,
+    s.add_argument("--eps-sat", dest="eps_sat", default=0.0,
+                   type=_checked(float, lambda v: v >= 0, "must be >= 0"),
                    help="satisficing tolerance (satisficing method, default 0)")
     s.add_argument("--out", default=None)
 
     e = sub.add_parser("experiment", help="run a report suite")
     e.add_argument("--suite", choices=("monte_carlo", "synthetic", "procurement"),
                    required=True)
-    e.add_argument("--n", type=int, default=50,
-                   help="instance count (monte_carlo) or contract count (procurement)")
+    e.add_argument("--n", type=_positive_int, default=50,
+                   help="instance count (monte_carlo) or even contract count (procurement)")
     e.add_argument("--seed", type=int, default=0, help="master seed")
-    e.add_argument("--seeds", type=int, default=10,
+    e.add_argument("--seeds", type=_positive_int, default=10,
                    help="number of consecutive seeds (synthetic suite, default 10)")
-    e.add_argument("--epsilon", type=float, default=experiments.DEFAULT_APPROX_EPSILON,
+    e.add_argument("--epsilon", type=_positive_float, default=experiments.DEFAULT_APPROX_EPSILON,
                    help="approximation precision for the approx column")
     e.add_argument("--csv", default=None, help="CSV output path")
     e.add_argument("--json", default=None, help="JSON report output path")
@@ -166,10 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="scaling benchmark")
     b.add_argument("--sizes", default="2,3,4,5,10,20",
+                   type=_checked(str, lambda text: all(2 <= int(s) <= 20
+                                                       for s in text.split(",") if s),
+                                 "sizes must lie in [2, 20]"),
                    help="comma-separated action-space sizes in [2, 20]")
-    b.add_argument("--epsilon", type=float, default=0.05)
+    b.add_argument("--epsilon", type=_positive_float, default=0.05)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--n", type=int, default=30, help="instances per size")
+    b.add_argument("--n", type=_positive_int, default=30, help="instances per size")
     b.add_argument("--json", default=None, help="output path (default stdout)")
 
     q = sub.add_parser("qbf", help="verify the formula-to-game encoding")
@@ -193,6 +212,8 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "experiment" and args.suite == "procurement" and args.n % 2:
+        parser.error(f"--n must be even for the procurement suite, got {args.n}")
     try:
         return _HANDLERS[args.command](args)
     except (ParseError, UnsupportedAlternation) as exc:

@@ -1,14 +1,15 @@
 """Equilibrium computation by backward induction over reasoning layers.
 
 Stage 2 computes, for a candidate leader strategy, the follower's best
-response at every observation (maximized over the follower's own layers);
-stage 1 then maximizes the leader's exact expected reward over all layer and
-within-layer choices. Ties are broken by layer preference L1 > L2 > L3, then
-lowest action index, then lexicographically smallest counterfactual map:
-every leader and follower choice is the first candidate in that order whose
-value is within the agent's tie tolerance of the best value (TIE_TOL times
-the largest |reward| of the agent, `_first_argmax`), so summation order
-never decides a tie.
+response at every observation (maximized over the follower's own layers),
+answering all observations of one leader action process from one
+(observation x instinct x action) value table; stage 1 then maximizes the
+leader's exact expected reward over all layer and within-layer choices.
+Ties are broken by layer preference L1 > L2 > L3, then lowest action index,
+then lexicographically smallest counterfactual map: every leader and
+follower choice is the first candidate in that order whose value is within
+the agent's tie tolerance of the best value (TIE_TOL times the agent's
+largest |reward|, `_first_argmax`), so summation order never decides a tie.
 
 Both stages run on response types (`PayoffEvaluator.merged`): assignments
 with the same leader instinct and the same follower instinct row are one
@@ -31,12 +32,13 @@ and the follower's posteriors read it backward by Bayes' rule.
 Every search for the leader's best reply is `_best_leader`: against the
 follower's best response (exact, classical, approx) or against one fixed
 follower policy (satisficing, the tremble check, forward induction's
-plausibility test). Every per-observation follower policy is built by
-`_policy`. The search enumerates only the leader layers it is asked for, so
-classical never searches L3. When the reached instinct values admit more than
-L3_ENUM_LIMIT (4,096) leader maps, every solver and check that searches L3
-(exact, approx, satisficing, tremble, forward induction) raises TooLarge
-rather than settle for a map it cannot verify.
+plausibility test). Every fixed follower policy is built by `_policy` from
+per-observation posteriors (`_posterior`). The search enumerates only the
+leader layers it is asked for, so classical never searches L3. When the
+reached instinct values admit more than L3_ENUM_LIMIT (4,096) leader maps,
+every solver and check that searches L3 (exact, approx, satisficing,
+tremble, forward induction) raises TooLarge rather than settle for a map it
+cannot verify.
 
 The exhaustive solvers (exact, classical, satisficing) share one action-space
 cap: the `action_cap` argument, else SCMAS_EXACT_CAP, else 8.
@@ -48,7 +50,7 @@ import copy
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -110,12 +112,7 @@ class SolveMethod:
     eps_sat: float | None = None
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        for k in ("epsilon", "seed", "n_samples", "eps_sat"):
-            v = getattr(self, k)
-            if v is not None:
-                out[k] = v
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 @dataclass(frozen=True)
@@ -153,10 +150,6 @@ def _posterior(ev: PayoffEvaluator, obs: Observation,
     return leader_xl, w / total
 
 
-def _follower_value(ev: PayoffEvaluator, xl: np.ndarray, w: np.ndarray, xf: np.ndarray) -> float:
-    return float(np.dot(w, ev.RF[xl, xf]))
-
-
 def _action_values(ev: PayoffEvaluator, xl: np.ndarray, w: np.ndarray) -> list[float]:
     """The follower's value of each deliberate (L2) action at a posterior:
     one np.dot per action over a contiguous row of RF[xl].T."""
@@ -164,41 +157,45 @@ def _action_values(ev: PayoffEvaluator, xl: np.ndarray, w: np.ndarray) -> list[f
     return [float(np.dot(w, rows[a])) for a in range(ev.k_f)]
 
 
-def _first_argmax(values: list[float], tol: float) -> int:
-    """Index of the first value within tol of the maximum: the earliest
-    candidate wins ties, whatever order the values were summed in."""
-    floor = max(values) - tol
-    for i, v in enumerate(values):
-        if v >= floor:
-            return i
+def _first_argmax(values, tol: float):
+    """Index of the first value within tol of the maximum, along the last
+    axis: the earliest candidate wins ties, whatever the summation order."""
+    values = np.asarray(values)
+    return (values >= values.max(axis=-1, keepdims=True) - tol).argmax(axis=-1)
 
 
-def _best_in_layer(ev: PayoffEvaluator, xl: np.ndarray, w: np.ndarray, layer: str):
-    """Best within-layer follower strategy at a posterior; ties go to the
-    lowest action index / lexicographically smallest map."""
-    if layer == L2:
-        vals = _action_values(ev, xl, w)
-        best_a = _first_argmax(vals, ev.follower_tol)
-        return vals[best_a], LayeredStrategy(L2, action=best_a)
-    instincts = ev.i_follower[np.arange(len(ev.joints)), xl]
+def _layer_optimum(tables: np.ndarray, layer: str, tol: float):
+    """(values, choices) of the follower's best strategy within one layer at
+    each value table T[obs, instinct, action]. L1's value is the trace, L2's
+    the best column sum and L3's the sum of the row maxima; L2 takes the first
+    action within tol of the best column, and L3 maps each instinct row to its
+    first action within tol of the row's best (action 0 on a row of no weight)."""
     if layer == L1:
-        strat = LayeredStrategy(L1)
-        return _follower_value(ev, xl, w, instincts), strat
-    # L3: the objective is additive across instinct values, so the optimal
-    # map is read off one (instinct x action) table. Each row takes its first
-    # action within the tie tolerance of the row's best, which gives the
-    # lexicographically smallest optimal map; an instinct value of no weight
-    # maps to action 0.
-    table = np.zeros((ev.k_f, ev.k_f))
-    np.add.at(table, instincts, w[:, None] * ev.RF[xl])
-    cmap = (table >= table.max(axis=1, keepdims=True) - ev.follower_tol).argmax(axis=1)
-    strat = LayeredStrategy(L3, counterfactual_map=cmap)
-    return _follower_value(ev, xl, w, cmap[instincts]), strat
+        return tables.diagonal(axis1=1, axis2=2).sum(axis=1), None
+    if layer == L2:
+        cols = tables.sum(axis=1)
+        return cols.max(axis=1), _first_argmax(cols, tol)
+    return tables.max(axis=2).sum(axis=1), _first_argmax(tables, tol)
 
 
-def _best_follower_at(ev, xl, w, layers=LAYERS):
-    found = [_best_in_layer(ev, xl, w, layer) for layer in layers]  # L1 > L2 > L3 on ties
-    return found[_first_argmax([v for v, _ in found], ev.follower_tol)][1]
+def _best_responses(tables: np.ndarray, layers, tol: float) -> list:
+    """The follower's best strategy at each table: the first layer within tol of the best."""
+    found = [_layer_optimum(tables, layer, tol) for layer in layers]
+    win = _first_argmax(np.column_stack([v for v, _ in found]), tol).tolist()
+    picks = [None if c is None else c.tolist() for _, c in found]
+    return [LayeredStrategy(L1) if layers[k] == L1
+            else LayeredStrategy(L2, action=picks[k][o]) if layers[k] == L2
+            else LayeredStrategy(L3, counterfactual_map=picks[k][o])
+            for o, k in enumerate(win)]
+
+
+def _face_value_tables(ev: PayoffEvaluator) -> np.ndarray:
+    """The table of each action signal s taken at face value: P_s[i] *
+    RF[s, a], with P_s[i] the prior mass of follower instinct i at action s."""
+    cells = (ev.i_follower + np.arange(ev.k_l) * ev.k_f).ravel()
+    prior = np.repeat(ev.weights / ev.weights.sum(), ev.k_l)
+    mass = np.bincount(cells, weights=prior, minlength=ev.k_l * ev.k_f)
+    return mass.reshape(ev.k_l, ev.k_f, 1) * ev.RF[:, None, :]
 
 
 def _policy(ev: PayoffEvaluator, answer, leader_layer: str | None,
@@ -211,19 +208,38 @@ def _policy(ev: PayoffEvaluator, answer, leader_layer: str | None,
     })
 
 
-def _stage2(ev: PayoffEvaluator, leader_layer: str | None,
-            leader_xl: np.ndarray | None, layers=LAYERS) -> FollowerPolicy:
-    return _policy(ev, lambda xl, w: _best_follower_at(ev, xl, w, layers),
-                   leader_layer, leader_xl)
+def _stage2(ev: PayoffEvaluator, leader_layer: str, leader_xl: np.ndarray,
+            layers=LAYERS) -> FollowerPolicy:
+    """The follower's best response at every observation of one leader
+    action process. The process matters only through mass[x, i], the weight
+    of realized leader action x with follower instinct i at x. An observation
+    of signal s that carries no layer or the leader's, and whose mass
+    tot[s] = sum_x mass[x].sum() * signal[x, s] is positive, has the table
+    sum_x mass[x, i] * signal[x, s] * RF[x, a] / tot[s] (Bayes' posterior
+    summed by instinct and action); every other one is taken at face value."""
+    k_l, k_f = ev.k_l, ev.k_f
+    inst = ev.i_follower[np.arange(len(leader_xl)), leader_xl]
+    mass = np.bincount(leader_xl * k_f + inst, weights=ev.weights,
+                       minlength=k_l * k_f).reshape(k_l, k_f)
+    tables = ev.signal.T @ (mass[:, :, None] * ev.RF[:, None, :]).reshape(k_l, -1)
+    tot = ev.signal.T @ mass.sum(axis=1)
+    sig = [o.action_signal for o in ev.observations]
+    on_path = np.array([o.layer_signal in (None, leader_layer) for o in ev.observations])
+    on_path &= tot[sig] > 0.0
+    chosen = np.where(on_path[:, None, None],
+                      tables.reshape(k_l, k_f, k_f)[sig]
+                      / np.where(on_path, tot[sig], 1.0)[:, None, None],
+                      _face_value_tables(ev)[sig])
+    return FollowerPolicy(dict(zip(ev.observations,
+                                   _best_responses(chosen, layers, ev.follower_tol))))
 
 
 def follower_best_response(game: ScmasGame, observation: Observation,
                            follower_layer: str) -> LayeredStrategy:
     """Best within-layer response to a single observation taken at face value."""
     ev = PayoffEvaluator(game)
-    xl, w = _posterior(ev, observation, None, None)
-    _, strat = _best_in_layer(ev, xl, w, follower_layer)
-    return strat
+    table = _face_value_tables(ev)[observation.action_signal]
+    return _best_responses(table[None], (follower_layer,), ev.follower_tol)[0]
 
 
 def _leader_candidates(ev, layers=LAYERS):
@@ -298,14 +314,7 @@ def _solve_backward(ev: PayoffEvaluator, follower_layers, method: SolveMethod,
         types, lambda layer, xl: _stage2(types, layer, xl, follower_layers), leader_layers
     )
     el, ef = (ev if payoff_ev is None else payoff_ev).profile_value(cand, pol)
-    return EquilibriumProfile(
-        leader=cand,
-        follower=pol,
-        leader_payoff=el,
-        follower_payoff=ef,
-        welfare=el + ef,
-        method=method,
-    )
+    return EquilibriumProfile(cand, pol, el, ef, el + ef, method)
 
 
 def exact_scne(game: ScmasGame, *,
@@ -347,9 +356,11 @@ def approx_scne(game: ScmasGame, epsilon: float, seed: int) -> EquilibriumProfil
     except CapExceeded:
         payoff_ev = None
     if payoff_ev is not None:
-        ids = game.scm.exogenous_ids
-        index = {tuple(u[k] for k in ids): j for j, u in enumerate(payoff_ev.joints)}
-        idx = [index[tuple(u[k] for k in ids)] for u in joints]
+        # Enumeration is row-major over 0-based contiguous supports, so a draw's
+        # index there is its raveled multi-index (0 with no exogenous variable).
+        idx = np.zeros(n, dtype=int)
+        for v in game.scm.exogenous:
+            idx = idx * len(v.support) + np.fromiter((u[v.id] for u in joints), int, n)
         ev = copy.copy(payoff_ev)
         ev.weights = np.bincount(idx, minlength=len(payoff_ev.joints)) / n
     else:
@@ -375,14 +386,8 @@ def satisficing_scne(game: ScmasGame, eps_sat: float, *,
 
     pol = _policy(ev, satisfice, None, None)
     el, ef, _, best = _best_leader(ev, lambda layer, xl: pol)
-    return EquilibriumProfile(
-        leader=best,
-        follower=pol,
-        leader_payoff=el,
-        follower_payoff=ef,
-        welfare=el + ef,
-        method=SolveMethod("satisficing", eps_sat=eps_sat),
-    )
+    return EquilibriumProfile(best, pol, el, ef, el + ef,
+                              SolveMethod("satisficing", eps_sat=eps_sat))
 
 
 def trembling_hand_check(game: ScmasGame, profile: EquilibriumProfile,
@@ -434,7 +439,7 @@ def _response_value(ev, xl, w, strat) -> float:
         vals = _action_values(ev, xl, w)
         return sum(p * vals[a] for a, p in enumerate(strat.weights) if p)
     xf = ev.follower_actions(strat, np.arange(len(xl)), xl)
-    return _follower_value(ev, xl, w, xf)
+    return float(np.dot(w, ev.RF[xl, xf]))
 
 
 def _choice_for_observation(ev: PayoffEvaluator, obs: Observation):
@@ -485,11 +490,10 @@ def forward_induction_filter(games: list[ScmasGame],
         raise TooLarge(
             f"{n_maps} follower response maps exceed L3_ENUM_LIMIT={L3_ENUM_LIMIT}")
 
-    response_maps = []
-    for combo in itertools.product(range(k_f), repeat=len(obs_list)):
-        response_maps.append(FollowerPolicy({
-            o: LayeredStrategy(L2, action=a) for o, a in zip(obs_list, combo)
-        }))
+    response_maps = [
+        FollowerPolicy({o: LayeredStrategy(L2, action=a) for o, a in zip(obs_list, combo)})
+        for combo in itertools.product(range(k_f), repeat=len(obs_list))
+    ]
 
     def plausible(t: int, obs: Observation) -> bool:
         choice = _choice_for_observation(evs[t], obs)
@@ -507,30 +511,21 @@ def forward_induction_filter(games: list[ScmasGame],
         val = _response_value(evs[t], xl, w, strat)
         return val >= max(_action_values(evs[t], xl, w)) - evs[t].follower_tol
 
-    kept = []
-    for prof in profiles:
-        reached = set()
-        for t in range(len(games)):
-            xl = evs[t].leader_actions(prof.leader)
-            for x in np.unique(xl[evs[t].weights > 0]):
-                reached.add(Observation(int(x), prof.leader.layer))
-        removed = False
+    def defeated(prof) -> bool:
+        reached = {Observation(int(x), prof.leader.layer) for ev in evs
+                   for x in np.unique(ev.leader_actions(prof.leader)[ev.weights > 0])}
         for obs in obs_list:
             if obs in reached:
                 continue
             strat = prof.follower.response(obs)
             plaus = [t for t in range(len(games)) if plausible(t, obs)]
             implaus = [t for t in range(len(games)) if t not in plaus]
-            if not plaus or not implaus:
-                continue
-            if any(rationalized(t, obs, strat) for t in implaus) and not any(
-                rationalized(t, obs, strat) for t in plaus
-            ):
-                removed = True
-                break
-        if not removed:
-            kept.append(prof)
-    return kept
+            if (plaus and implaus and any(rationalized(t, obs, strat) for t in implaus)
+                    and not any(rationalized(t, obs, strat) for t in plaus)):
+                return True
+        return False
+
+    return [prof for prof in profiles if not defeated(prof)]
 
 
 # --- serialization ----------------------------------------------------------
@@ -548,18 +543,12 @@ def strategy_to_dict(strat) -> dict:
 
 
 def profile_to_dict(profile: EquilibriumProfile) -> dict:
-    entries = []
-    for obs in sorted(
-        profile.follower.responses,
-        key=lambda o: (o.layer_signal or "", o.action_signal),
-    ):
-        entries.append({
-            "observation": {
-                "action_signal": obs.action_signal,
-                "layer_signal": obs.layer_signal,
-            },
-            "response": strategy_to_dict(profile.follower.responses[obs]),
-        })
+    entries = [
+        {"observation": {"action_signal": obs.action_signal, "layer_signal": obs.layer_signal},
+         "response": strategy_to_dict(profile.follower.responses[obs])}
+        for obs in sorted(profile.follower.responses,
+                          key=lambda o: (o.layer_signal or "", o.action_signal))
+    ]
     return {
         "method": profile.method.to_dict(),
         "leader": strategy_to_dict(profile.leader),

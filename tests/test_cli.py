@@ -133,6 +133,23 @@ def test_bench_subcommand(capsys):
     assert payload["rows"][0]["size"] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "game.json", "--method", "approx", "--epsilon", "0"],
+    ["solve", "game.json", "--method", "satisficing", "--eps-sat", "-1"],
+    ["experiment", "--suite", "monte_carlo", "--n", "0"],
+    ["experiment", "--suite", "procurement", "--n", "3"],
+    ["experiment", "--suite", "synthetic", "--seeds", "0"],
+    ["bench", "--sizes", "1"],
+    ["bench", "--n", "0", "--sizes", "2"],
+])
+def test_invalid_flag_values_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "scmas.cli", "--help"],

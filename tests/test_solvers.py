@@ -573,15 +573,102 @@ def test_vectorized_follower_choice_matches_loop(k_f, weights):
             w = rng.dirichlet(np.ones(n))
         instincts = ev.i_follower[np.arange(n), xl]
         w[instincts == rng.integers(k_f)] = 0.0  # a reached value of no weight
+        table = np.zeros((k_f, k_f))  # the (instinct x action) value table
+        np.add.at(table, instincts, w[:, None] * ev.RF[xl])
 
         v2, a2 = _l2_by_loop(ev, xl, w)
-        assert solvers._best_in_layer(ev, xl, w, "L2") == (v2, LayeredStrategy("L2", action=a2))
+        [got_v2], [got_a2] = solvers._layer_optimum(table[None], "L2", ev.follower_tol)
+        assert got_a2 == a2
+        assert abs(got_v2 - v2) <= 1e-12
 
         cmap = _l3_map_by_loop(ev, xl, w)
-        v3, strat = solvers._best_in_layer(ev, xl, w, "L3")
-        assert strat.counterfactual_map == cmap
+        [v3], [got_map] = solvers._layer_optimum(table[None], "L3", ev.follower_tol)
+        assert tuple(got_map) == cmap
         assert all(cmap[v] == 0 for v in range(k_f) if not w[instincts == v].any())
-        assert v3 == float(np.dot(w, ev.RF[xl, np.asarray(cmap)[instincts]]))
+        # summed through the table, so equal to the per-joint sum up to rounding
+        assert abs(v3 - float(np.dot(w, ev.RF[xl, np.asarray(cmap)[instincts]]))) <= 1e-12
+
+
+def _stage2_by_observation(ev, leader_layer, leader_xl, layers):
+    """Stage 2 one observation at a time: the posterior by Bayes over the
+    per-assignment weights (face value at zero mass and on another layer),
+    then each layer's best strategy by its own loop, then the first layer
+    within the follower's tie tolerance of the best."""
+    n, tol = len(ev.joints), ev.follower_tol
+    responses = {}
+    for obs in ev.observations:
+        xl, w = np.full(n, obs.action_signal, dtype=int), ev.weights / ev.weights.sum()
+        if obs.layer_signal in (None, leader_layer):
+            on_path = ev.weights * ev.signal[leader_xl, obs.action_signal]
+            if on_path.sum() > 0.0:
+                xl, w = leader_xl, on_path / on_path.sum()
+        instincts = ev.i_follower[np.arange(n), xl]
+        found = []
+        for layer in layers:
+            if layer == "L1":
+                found.append((float(np.dot(w, ev.RF[xl, instincts])), LayeredStrategy("L1")))
+            elif layer == "L2":
+                vals = [float(np.dot(w, ev.RF[xl, a])) for a in range(ev.k_f)]
+                a = first_within_tol(vals, tol)
+                found.append((vals[a], LayeredStrategy("L2", action=a)))
+            else:
+                table = np.zeros((ev.k_f, ev.k_f))
+                np.add.at(table, instincts, w[:, None] * ev.RF[xl])
+                cmap = [first_within_tol(list(row), tol) for row in table]
+                value = float(np.dot(w, ev.RF[xl, np.asarray(cmap)[instincts]]))
+                found.append((value, LayeredStrategy("L3", counterfactual_map=cmap)))
+        responses[obs] = found[first_within_tol([v for v, _ in found], tol)][1]
+    return FollowerPolicy(responses)
+
+
+_STAGE2_INFOS = (InformationStructure("perfect"), InformationStructure("mechanism"),
+                 InformationStructure("imperfect", 0.5), InformationStructure("imperfect", 1.0))
+
+
+@pytest.mark.parametrize("info", _STAGE2_INFOS, ids=lambda i: f"{i.kind}{i.sigma or ''}")
+def test_batched_stage2_matches_per_observation_reference(info):
+    # One value table per leader process answers every observation as the
+    # per-observation posterior and per-layer loops do, on the full and the
+    # merged view and for the exact and the classical follower. In the last
+    # game both instincts read one variable, so a posterior moves the
+    # follower's instinct and face value differs from it.
+    games = [random_instance(_params(nxl=3, nxf=3, topology=topology, info=info,
+                                     quality=0.5, seed=1100 + seed))
+             for seed, topology in enumerate(TOPOLOGIES)]
+    games.append(make_simple_game([[4, 1, 0], [2, 7, 3], [5, 0, 6]],
+                                  [[3, 5, 1], [6, 0, 2], [1, 4, 4]],
+                                  (0.3, 0.3, 0.4), (0.2, 0.5, 0.3), info=info,
+                                  correlated=True))
+    for game in games:
+        full = PayoffEvaluator(game)
+        for ev in (full, full.merged()):
+            seen = set()
+            for cand in solvers._leader_candidates(ev):
+                xl = ev.leader_actions(cand)
+                key = (cand.layer, xl.tobytes())
+                if key in seen:
+                    continue
+                seen.add(key)
+                for layers in (LAYERS, ("L2",)):
+                    assert solvers._stage2(ev, cand.layer, xl, layers) == \
+                        _stage2_by_observation(ev, cand.layer, xl, layers), cand
+
+
+def test_follower_layer_ties_go_to_l1_then_l2_then_l3():
+    # The follower's instinct is always action 0, its best action at every
+    # leader action: L1, L2 action 0 and the constant map 0 tie exactly.
+    rf = [[4.0, 1.0, 2.0], [8.0, 0.5, 3.0], [1.0, 0.25, 0.5]]
+    for info in _STAGE2_INFOS[:2]:
+        game = make_simple_game(np.zeros((3, 3)).tolist(), rf, (0.4, 0.3, 0.3),
+                                (1.0, 0.0, 0.0), info=info)
+        ev = PayoffEvaluator(game)
+        for cand in all_leader_strategies(ev.k_l):
+            xl = ev.leader_actions(cand)
+            for layers, want in ((LAYERS, LayeredStrategy("L1")),
+                                 (("L2", "L3"), LayeredStrategy("L2", action=0)),
+                                 (("L3",), LayeredStrategy("L3", counterfactual_map=(0, 0, 0)))):
+                pol = solvers._stage2(ev, cand.layer, xl, layers)
+                assert set(pol.responses.values()) == {want}
 
 
 # --- imperfect information against the plain-enumeration oracle ----------------
