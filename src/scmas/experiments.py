@@ -502,11 +502,22 @@ def report_to_csv(report: ExperimentReport) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in report.rows:
-        writer.writerow([  # in CSV_COLUMNS order
-            r.instance_id, r.seed, r.topology, r.nxl, r.nxf, r.info, r.payoff_dist,
-            _fmt9(r.instinct_quality), _fmt9(r.scne_welfare), _fmt9(r.classical_welfare),
-            _fmt9(r.welfare_delta), "true" if r.pareto_improved else "false",
-            r.leader_layer, _fmt9(r.t_exact_s), _fmt9(r.t_approx_s),
+        writer.writerow([
+            r.instance_id,
+            r.seed,
+            r.topology,
+            r.nxl,
+            r.nxf,
+            r.info,
+            r.payoff_dist,
+            _fmt9(r.instinct_quality),
+            _fmt9(r.scne_welfare),
+            _fmt9(r.classical_welfare),
+            _fmt9(r.welfare_delta),
+            "true" if r.pareto_improved else "false",
+            r.leader_layer,
+            _fmt9(r.t_exact_s),
+            _fmt9(r.t_approx_s),
             "" if r.approx_error is None else _fmt9(r.approx_error),
         ])
     return buf.getvalue()

@@ -50,7 +50,7 @@ import copy
 import itertools
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,7 +112,12 @@ class SolveMethod:
     eps_sat: float | None = None
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        out = {"kind": self.kind}
+        for k in ("epsilon", "seed", "n_samples", "eps_sat"):
+            v = getattr(self, k)
+            if v is not None:
+                out[k] = v
+        return out
 
 
 @dataclass(frozen=True)
@@ -210,13 +215,11 @@ def _policy(ev: PayoffEvaluator, answer, leader_layer: str | None,
 
 def _stage2(ev: PayoffEvaluator, leader_layer: str, leader_xl: np.ndarray,
             layers=LAYERS) -> FollowerPolicy:
-    """The follower's best response at every observation of one leader
-    action process. The process matters only through mass[x, i], the weight
-    of realized leader action x with follower instinct i at x. An observation
-    of signal s that carries no layer or the leader's, and whose mass
-    tot[s] = sum_x mass[x].sum() * signal[x, s] is positive, has the table
-    sum_x mass[x, i] * signal[x, s] * RF[x, a] / tot[s] (Bayes' posterior
-    summed by instinct and action); every other one is taken at face value."""
+    """The follower's best response at every observation of one leader action
+    process, which matters only through mass[x, i], the weight of realized
+    leader action x with follower instinct i. An on-path observation (as in
+    `_posterior`) of signal s has the table sum_x mass[x, i] signal[x, s]
+    RF[x, a], normalized; every other one is taken at face value."""
     k_l, k_f = ev.k_l, ev.k_f
     inst = ev.i_follower[np.arange(len(leader_xl)), leader_xl]
     mass = np.bincount(leader_xl * k_f + inst, weights=ev.weights,
@@ -314,7 +317,14 @@ def _solve_backward(ev: PayoffEvaluator, follower_layers, method: SolveMethod,
         types, lambda layer, xl: _stage2(types, layer, xl, follower_layers), leader_layers
     )
     el, ef = (ev if payoff_ev is None else payoff_ev).profile_value(cand, pol)
-    return EquilibriumProfile(cand, pol, el, ef, el + ef, method)
+    return EquilibriumProfile(
+        leader=cand,
+        follower=pol,
+        leader_payoff=el,
+        follower_payoff=ef,
+        welfare=el + ef,
+        method=method,
+    )
 
 
 def exact_scne(game: ScmasGame, *,
@@ -386,8 +396,14 @@ def satisficing_scne(game: ScmasGame, eps_sat: float, *,
 
     pol = _policy(ev, satisfice, None, None)
     el, ef, _, best = _best_leader(ev, lambda layer, xl: pol)
-    return EquilibriumProfile(best, pol, el, ef, el + ef,
-                              SolveMethod("satisficing", eps_sat=eps_sat))
+    return EquilibriumProfile(
+        leader=best,
+        follower=pol,
+        leader_payoff=el,
+        follower_payoff=ef,
+        welfare=el + ef,
+        method=SolveMethod("satisficing", eps_sat=eps_sat),
+    )
 
 
 def trembling_hand_check(game: ScmasGame, profile: EquilibriumProfile,
@@ -490,10 +506,11 @@ def forward_induction_filter(games: list[ScmasGame],
         raise TooLarge(
             f"{n_maps} follower response maps exceed L3_ENUM_LIMIT={L3_ENUM_LIMIT}")
 
-    response_maps = [
-        FollowerPolicy({o: LayeredStrategy(L2, action=a) for o, a in zip(obs_list, combo)})
-        for combo in itertools.product(range(k_f), repeat=len(obs_list))
-    ]
+    response_maps = []
+    for combo in itertools.product(range(k_f), repeat=len(obs_list)):
+        response_maps.append(FollowerPolicy({
+            o: LayeredStrategy(L2, action=a) for o, a in zip(obs_list, combo)
+        }))
 
     def plausible(t: int, obs: Observation) -> bool:
         choice = _choice_for_observation(evs[t], obs)
@@ -511,21 +528,30 @@ def forward_induction_filter(games: list[ScmasGame],
         val = _response_value(evs[t], xl, w, strat)
         return val >= max(_action_values(evs[t], xl, w)) - evs[t].follower_tol
 
-    def defeated(prof) -> bool:
-        reached = {Observation(int(x), prof.leader.layer) for ev in evs
-                   for x in np.unique(ev.leader_actions(prof.leader)[ev.weights > 0])}
+    kept = []
+    for prof in profiles:
+        reached = set()
+        for t in range(len(games)):
+            xl = evs[t].leader_actions(prof.leader)
+            for x in np.unique(xl[evs[t].weights > 0]):
+                reached.add(Observation(int(x), prof.leader.layer))
+        removed = False
         for obs in obs_list:
             if obs in reached:
                 continue
             strat = prof.follower.response(obs)
             plaus = [t for t in range(len(games)) if plausible(t, obs)]
             implaus = [t for t in range(len(games)) if t not in plaus]
-            if (plaus and implaus and any(rationalized(t, obs, strat) for t in implaus)
-                    and not any(rationalized(t, obs, strat) for t in plaus)):
-                return True
-        return False
-
-    return [prof for prof in profiles if not defeated(prof)]
+            if not plaus or not implaus:
+                continue
+            if any(rationalized(t, obs, strat) for t in implaus) and not any(
+                rationalized(t, obs, strat) for t in plaus
+            ):
+                removed = True
+                break
+        if not removed:
+            kept.append(prof)
+    return kept
 
 
 # --- serialization ----------------------------------------------------------
@@ -543,12 +569,18 @@ def strategy_to_dict(strat) -> dict:
 
 
 def profile_to_dict(profile: EquilibriumProfile) -> dict:
-    entries = [
-        {"observation": {"action_signal": obs.action_signal, "layer_signal": obs.layer_signal},
-         "response": strategy_to_dict(profile.follower.responses[obs])}
-        for obs in sorted(profile.follower.responses,
-                          key=lambda o: (o.layer_signal or "", o.action_signal))
-    ]
+    entries = []
+    for obs in sorted(
+        profile.follower.responses,
+        key=lambda o: (o.layer_signal or "", o.action_signal),
+    ):
+        entries.append({
+            "observation": {
+                "action_signal": obs.action_signal,
+                "layer_signal": obs.layer_signal,
+            },
+            "response": strategy_to_dict(profile.follower.responses[obs]),
+        })
     return {
         "method": profile.method.to_dict(),
         "leader": strategy_to_dict(profile.leader),

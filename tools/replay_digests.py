@@ -1,7 +1,6 @@
 """Replay every recorded benchmark digest and report the mismatches.
 
     python3 tools/replay_digests.py
-    python3 tools/replay_digests.py --workloads mc,approx_large
 
 Runs, for every key of perfbench/digests.json, the workload pass that
 produced it (`WORKLOADS[name].run_pass`), applies the workload's correctness
@@ -17,7 +16,6 @@ that seed).
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from collections import defaultdict
@@ -56,17 +54,13 @@ def replay(name: str, recorded: dict[str, str]) -> list[str]:
     return bad
 
 
-def main(argv=None) -> int:
+def main() -> int:
     table = json.loads((BENCH_DIR / "digests.json").read_text())
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workloads", default=",".join(table))
-    args = ap.parse_args(argv)
-
     total_bad = 0
-    for name in args.workloads.split(","):
-        bad = replay(name, table[name])
+    for name, recorded in table.items():
+        bad = replay(name, recorded)
         total_bad += len(bad)
-        print(f"{name}: replayed {len(table[name])}, mismatched {len(bad)}"
+        print(f"{name}: replayed {len(recorded)}, mismatched {len(bad)}"
               + (f" ({', '.join(bad[:10])})" if bad else ""), flush=True)
     return 1 if total_bad else 0
 
